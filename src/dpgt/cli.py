@@ -85,16 +85,7 @@ def _cmd_validate_scheme(args) -> int:
         report = validate_s1(scheme, sc, obj.L1_smooth)
     else:
         report = validate_s2(scheme, sc, obj.L1_smooth, obj.mu)
-    _print_json(
-        {
-            "overall": report.overall,
-            "derived": {k: float(v) for k, v in report.derived.items()},
-            "entries": [
-                {"name": e.name, "lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
-                for e in report.entries
-            ],
-        }
-    )
+    _print_json(report.to_dict())
     return 0 if report.overall else 1
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "load_json",
     "dump_json",
     "file_sha256",
+    "check_document",
     "graph_to_dict",
     "graph_from_dict",
     "scheme_to_dict",
@@ -59,6 +60,14 @@ def _check_version(doc: dict, what: str) -> None:
     v = doc.get("schema_version", SCHEMA_VERSION)
     if v != SCHEMA_VERSION:
         raise ValueError(f"{what}: unsupported schema_version {v}")
+
+
+def check_document(doc: dict, what: str, keys) -> None:
+    """Reject a wrong schema_version and any key outside ``keys``."""
+    _check_version(doc, what)
+    unknown = sorted(set(doc) - set(keys) - {"schema_version"})
+    if unknown:
+        raise ValueError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def graph_to_dict(gp: GraphPair) -> dict:

@@ -11,13 +11,20 @@ One iteration, for every agent i simultaneously:
   6. tracking:   y_i <- (1 - b * sum_j C_ji) y_i + b * sum_j C_ij yb_j
                         + g_i(new) - g_i(old)
 
+Steps 2, 3 and 6 are written once, in :func:`update`, which every simulator
+of the algorithm calls: :func:`step` here, and both sides of the coupled run
+and the likelihood-ratio check in ``privacy``.  The caller supplies the
+broadcast pair and the gradient oracle, so the kernel needs no knowledge of
+where the noise or the samples come from.
+
 Stacked over agents, steps 3 and 6 read
 
   x+ = ((I - a L1) ⊗ I_d) x + a (R ⊗ I_d) zeta - c y
   y+ = ((I - b L2) ⊗ I_d) y + b (C ⊗ I_d) eta + g+ - g
 
-which is the form the equivalence tests check against.  With all noise off,
-1ᵀ y_k = 1ᵀ g_k holds exactly for every k by telescoping from y_0 = g_0.
+:func:`compact_step` writes this form out separately, as the independent
+reference the equivalence tests check :func:`step` against.  With all noise
+off, 1ᵀ y_k = 1ᵀ g_k holds exactly for every k by telescoping from y_0 = g_0.
 
 Randomness is counter-based: every Laplace block and every index draw comes
 from a fresh Philox stream keyed by (seed, agent, iteration, role), so the
@@ -49,6 +56,11 @@ __all__ = [
     "laplace_sample",
     "laplace_vector",
     "sample_indices",
+    "noise",
+    "draw_x0",
+    "draw_indices",
+    "sampled_gradients",
+    "update",
     "perturb",
     "initialize",
     "step",
@@ -142,7 +154,8 @@ def sample_indices(seed: int, agent: int, k: int, D: int, m: int) -> np.ndarray:
     if not (1 <= m <= D):
         raise ConfigError(f"need 1 <= m <= D, got m={m}, D={D}")
     gen = keyed_generator(seed, agent, k, ROLE_SAMPLES)
-    return gen.permutation(D)[:m]
+    # A copy, so that callers holding every agent's draw do not keep n O(D) permutations alive.
+    return gen.permutation(D)[:m].copy()
 
 
 @dataclass(frozen=True)
@@ -154,27 +167,42 @@ class EngineState:
     seed: int
 
 
-def perturb(state: EngineState, rates: Rates, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed broadcast pair (xb, yb) for iteration k.
+def noise(seed: int, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keyed Laplace blocks (zeta, eta), each (n, d), for iteration k.
 
     Noise is drawn for every agent whenever its scale is nonzero, whether or
-    not anyone listens, so streams stay aligned across topologies.
+    not anyone listens, so streams stay aligned across topologies; a row whose
+    scale is zero stays exactly zero.
     """
-    n, d = state.x.shape
-    xb = state.x.copy()
-    yb = state.y.copy()
+    zeta = np.zeros((n, d))
+    eta = np.zeros((n, d))
     for i in range(n):
         sz = rates.sigma_zeta(i, k)
         se = rates.sigma_eta(i, k)
         if sz > 0.0:
-            xb[i] += laplace_vector(state.seed, i, k, ROLE_ZETA, d, sz)
+            zeta[i] = laplace_vector(seed, i, k, ROLE_ZETA, d, sz)
         if se > 0.0:
-            yb[i] += laplace_vector(state.seed, i, k, ROLE_ETA, d, se)
-    return xb, yb
+            eta[i] = laplace_vector(seed, i, k, ROLE_ETA, d, se)
+    return zeta, eta
 
 
-def _sampled_mean_gradient(obj: Objective, agent: int, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return obj.grad_batch(x, obj.datasets[agent].samples[idx]).mean(axis=0)
+def draw_x0(seed: int, n: int, d: int) -> np.ndarray:
+    """Keyed initial states, uniform on [-1, 1]^d per agent, shape (n, d)."""
+    return np.stack(
+        [keyed_generator(seed, i, 0, ROLE_X0).uniform(-1.0, 1.0, size=d) for i in range(n)]
+    )
+
+
+def draw_indices(seed: int, datasets, k: int, m: int) -> list[np.ndarray]:
+    """Agent i's m sample indices for iteration k, one keyed draw per agent."""
+    return [sample_indices(seed, i, k, ds.size, m) for i, ds in enumerate(datasets)]
+
+
+def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarray:
+    """Row i: mean per-sample gradient at x[i] over datasets[i].samples[idxs[i]]."""
+    return np.stack(
+        [obj.grad_batch(xi, ds.samples[idx]).mean(axis=0) for xi, ds, idx in zip(x, datasets, idxs)]
+    )
 
 
 def _guard(name: str, arr: np.ndarray, k: int) -> None:
@@ -186,6 +214,32 @@ def _guard(name: str, arr: np.ndarray, k: int) -> None:
         )
 
 
+def update(
+    x: np.ndarray, y: np.ndarray, g: np.ndarray, xb: np.ndarray, yb: np.ndarray,
+    grad_at, rates: Rates, gp: GraphPair, k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradient-tracking update from iteration k to k+1, given the broadcasts.
+
+    (xb, yb) is the perturbed pair the agents receive and ``grad_at(x_next)``
+    returns the sampled gradients at the new states.  Agents sit on axis -2,
+    so a leading batch axis on every array broadcasts.  Returns
+    (x_next, y_next, g_next).
+    """
+    a, b, c = rates.alpha, rates.beta, rates.gamma
+    x_next = (1.0 - a * gp.row_sums_R)[:, None] * x + a * (gp.R @ xb) - c * y
+    _guard("state", x_next, k + 1)
+    g_next = grad_at(x_next)
+    y_next = (1.0 - b * gp.col_sums_C)[:, None] * y + b * (gp.C @ yb) + g_next - g
+    _guard("tracking", y_next, k + 1)
+    return x_next, y_next, g_next
+
+
+def perturb(state: EngineState, rates: Rates, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed broadcast pair (xb, yb) for iteration k."""
+    zeta, eta = noise(state.seed, rates, k, *state.x.shape)
+    return state.x + zeta, state.y + eta
+
+
 def initialize(
     gp: GraphPair,
     rates: Rates,
@@ -195,44 +249,27 @@ def initialize(
 ) -> EngineState:
     """Draw x_0 if absent, sample the first gradient batches, and set y_0 = g_0."""
     n, d = gp.n, obj.dim
-    m = rates.m_int
     if x0 is None:
-        x0 = np.stack(
-            [keyed_generator(seed, i, 0, ROLE_X0).uniform(-1.0, 1.0, size=d) for i in range(n)]
-        )
+        x0 = draw_x0(seed, n, d)
     else:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n, d):
             raise ConfigError(f"x0 must have shape {(n, d)}, got {x0.shape}")
-    g0 = np.stack(
-        [
-            _sampled_mean_gradient(obj, i, x0[i], sample_indices(seed, i, 0, obj.datasets[i].size, m))
-            for i in range(n)
-        ]
-    )
+    g0 = sampled_gradients(obj, obj.datasets, x0, draw_indices(seed, obj.datasets, 0, rates.m_int))
     return EngineState(k=0, x=x0, y=g0.copy(), g_prev=g0, seed=seed)
 
 
 def step(state: EngineState, gp: GraphPair, rates: Rates, obj: Objective) -> EngineState:
-    """Advance one iteration: perturb, mix, resample, track."""
+    """Advance one iteration: perturb, then :func:`update`."""
     k = state.k
-    a, b, c = rates.alpha, rates.beta, rates.gamma
-    m = rates.m_int
     xb, yb = perturb(state, rates, k)
-    row = gp.row_sums_R
-    col = gp.col_sums_C
 
-    x_next = (1.0 - a * row)[:, None] * state.x + a * (gp.R @ xb) - c * state.y
-    _guard("state", x_next, k + 1)
+    def grad_at(x_next: np.ndarray) -> np.ndarray:
+        idxs = draw_indices(state.seed, obj.datasets, k + 1, rates.m_int)
+        return sampled_gradients(obj, obj.datasets, x_next, idxs)
 
-    g_next = np.empty_like(state.g_prev)
-    for i in range(gp.n):
-        idx = sample_indices(state.seed, i, k + 1, obj.datasets[i].size, m)
-        g_next[i] = _sampled_mean_gradient(obj, i, x_next[i], idx)
-
-    y_next = (1.0 - b * col)[:, None] * state.y + b * (gp.C @ yb) + g_next - state.g_prev
-    _guard("tracking", y_next, k + 1)
-    return EngineState(k=k + 1, x=x_next, y=y_next, g_prev=g_next, seed=state.seed)
+    x, y, g = update(state.x, state.y, state.g_prev, xb, yb, grad_at, rates, gp, k)
+    return EngineState(k=k + 1, x=x, y=y, g_prev=g, seed=state.seed)
 
 
 def compact_step(
@@ -243,29 +280,22 @@ def compact_step(
 ) -> EngineState:
     """Same update written with the stacked mixing matrices (cross-check path).
 
-    Uses the identical noise and sampling streams as :func:`step`, so the two
-    must agree entrywise up to floating-point roundoff.
+    Deliberately independent of :func:`update`: it mixes with I - a L1 and
+    I - b L2 and adds the mixed noise, where :func:`update` mixes the
+    perturbed values.  It uses the identical noise and sampling streams, so
+    the two must agree entrywise up to floating-point roundoff.
     """
     k = state.k
     a, b, c = rates.alpha, rates.beta, rates.gamma
-    m = rates.m_int
-    n, d = state.x.shape
-    zeta = np.zeros((n, d))
-    eta = np.zeros((n, d))
-    for i in range(n):
-        sz = rates.sigma_zeta(i, k)
-        se = rates.sigma_eta(i, k)
-        if sz > 0.0:
-            zeta[i] = laplace_vector(state.seed, i, k, ROLE_ZETA, d, sz)
-        if se > 0.0:
-            eta[i] = laplace_vector(state.seed, i, k, ROLE_ETA, d, se)
+    n = gp.n
+    zeta, eta = noise(state.seed, rates, k, *state.x.shape)
     eye = np.eye(n)
     x_next = (eye - a * gp.L1) @ state.x + a * (gp.R @ zeta) - c * state.y
-    g_next = np.empty_like(state.g_prev)
-    for i in range(n):
-        idx = sample_indices(state.seed, i, k + 1, obj.datasets[i].size, m)
-        g_next[i] = _sampled_mean_gradient(obj, i, x_next[i], idx)
+    _guard("state", x_next, k + 1)
+    idxs = draw_indices(state.seed, obj.datasets, k + 1, rates.m_int)
+    g_next = sampled_gradients(obj, obj.datasets, x_next, idxs)
     y_next = (eye - b * gp.L2) @ state.y + b * (gp.C @ eta) + g_next - state.g_prev
+    _guard("tracking", y_next, k + 1)
     return EngineState(k=k + 1, x=x_next, y=y_next, g_prev=g_next, seed=state.seed)
 
 

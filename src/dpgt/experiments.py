@@ -21,7 +21,7 @@ from . import configio
 from .engine import EnsembleResult, run_ensemble
 from .graphs import GraphPair, spectral_constants
 from .objectives import Objective
-from .privacy import BudgetReport, epsilon, sensitivity_trace
+from .privacy import BudgetReport, epsilon, sensitivity_trace, swap_bound
 from .schemes import (
     S1Params,
     S2Params,
@@ -135,11 +135,13 @@ def suboptimal_horizon(final_grad_by_K: dict, phi: float, scheme: SchemeParams) 
 
 def auto_adjacency_constant(obj: Objective) -> float:
     """Worst-case gradient-swap constant over every agent's own sample pool."""
-    worst = 0.0
-    for ds in obj.datasets:
-        norms = np.linalg.norm(ds.samples, axis=1)
-        worst = max(worst, float(norms.max()))
-    return (2.0**obj.tau + 1.0) * math.sqrt(obj.dim) * obj.L2_holder * worst**obj.tau
+    return swap_bound(obj, obj.datasets)
+
+
+_CONFIG_KEYS = (
+    "graph", "scheme", "objective", "horizons", "runs", "seed", "output_dir",
+    "phi", "baseline", "force", "adjacency_C", "seeds",
+)
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
+        """Load a run config; a wrong schema_version or an unknown key is an error."""
         doc = configio.load_json(path)
+        configio.check_document(doc, "config", _CONFIG_KEYS)
         base = Path(path).parent
         return ExperimentConfig(
             graph_file=str(base / doc["graph"]),
@@ -186,22 +190,6 @@ class ExperimentConfig:
             adjacency_C=doc.get("adjacency_C", "auto"),
             seeds=tuple(doc["seeds"]) if "seeds" in doc else None,
         )
-
-
-def _report_to_dict(report) -> dict:
-    return {
-        "overall": report.overall,
-        "derived": {k: (v if isinstance(v, str) else float(v)) for k, v in report.derived.items()},
-        "entries": [
-            {
-                "name": e.name,
-                "lhs": float(e.lhs),
-                "rhs": float(e.rhs),
-                "satisfied": e.satisfied,
-            }
-            for e in report.entries
-        ],
-    }
 
 
 def write_trace_csv(path, ens: EnsembleResult, eps_increments: np.ndarray | None) -> None:
@@ -244,7 +232,7 @@ def _validate(scheme: SchemeParams, sc, obj: Objective, force: bool) -> dict:
     if not report.overall and not force:
         failing = [e.name for e in report.entries if not e.satisfied]
         raise ValidatorFailure(f"scheme fails admissibility checks: {failing}")
-    return _report_to_dict(report)
+    return report.to_dict()
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -267,7 +255,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         },
         "config": dataclasses.asdict(config),
         "validator": _validate(scheme, sc, obj, config.force),
-        "budget_finiteness": _report_to_dict(check_budget_finiteness(scheme, gp)),
+        "budget_finiteness": check_budget_finiteness(scheme, gp).to_dict(),
         "horizons": {},
     }
 

@@ -136,10 +136,6 @@ class Objective:
         ds = self.datasets[agent]
         return self.grad_batch(x, ds.samples).mean(axis=0)
 
-    def local_value(self, agent: int, x) -> float:
-        ds = self.datasets[agent]
-        return float(np.mean([self.loss(x, xi) for xi in ds.samples]))
-
     def global_value(self, x) -> float:
         return float(self.global_value_fn(np.asarray(x, float)))
 

@@ -20,7 +20,9 @@ after a horizon-K run is then the Laplace-mechanism composition
 Budgets here are always computed from these closed-form bounds.  The coupled
 two-run simulator and the small-instance likelihood-ratio test below exist
 only to check that realized differences never exceed the bounds and that the
-observed output-distribution ratio respects exp(eps).
+observed output-distribution ratio respects exp(eps).  Both advance their
+states with ``engine.update``, the single update rule; they differ from an
+ordinary run only in the broadcasts and gradient oracles they hand it.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    ROLE_X0,
-    keyed_generator,
-    laplace_vector,
-    ROLE_ZETA,
-    ROLE_ETA,
-    sample_indices,
-)
+from .engine import draw_indices, draw_x0, noise, sampled_gradients, update
 from .graphs import GraphPair
 from .objectives import Dataset, Objective
 from .schemes import SchemeParams, ValidationReport, check_budget_finiteness, rates_at
@@ -49,6 +44,7 @@ __all__ = [
     "CoupledRunResult",
     "MicroDPReport",
     "adjacency_constant",
+    "swap_bound",
     "differing_index",
     "sensitivity_trace",
     "epsilon",
@@ -73,6 +69,16 @@ def differing_index(ds: Dataset, ds_alt: Dataset) -> int:
     return int(diff[0])
 
 
+def swap_bound(obj: Objective, datasets) -> float:
+    """(2^tau + 1) * sqrt(d) * L2 * max ||xi||^tau over every sample of ``datasets``.
+
+    Dominates the l1 change of the per-sample gradient, at every x, when any
+    one of these samples is swapped for another.
+    """
+    worst = max(float(np.linalg.norm(ds.samples, axis=1).max()) for ds in datasets)
+    return (2.0**obj.tau + 1.0) * math.sqrt(obj.dim) * obj.L2_holder * worst**obj.tau
+
+
 def adjacency_constant(
     obj: Objective,
     ds: Dataset,
@@ -82,20 +88,13 @@ def adjacency_constant(
 ) -> float:
     """Gradient-difference constant C for one adjacent dataset pair.
 
-    mode="bound" returns (2^tau + 1) * sqrt(d) * L2 * max ||xi||^tau over both
-    datasets, which dominates the swap-induced l1 gradient change at every x.
+    mode="bound" returns :func:`swap_bound` over both datasets.
     mode="empirical" instead takes the maximum of
     ||g(x, xi) - g(x, xi')||_1 over the supplied grid of points x.
     """
     l0 = differing_index(ds, ds_alt)
     if mode == "bound":
-        norms = np.linalg.norm(np.vstack([ds.samples, ds_alt.samples]), axis=1)
-        return float(
-            (2.0**obj.tau + 1.0)
-            * math.sqrt(obj.dim)
-            * obj.L2_holder
-            * norms.max() ** obj.tau
-        )
+        return swap_bound(obj, (ds, ds_alt))
     if mode == "empirical":
         if xs is None:
             raise ValueError("empirical mode needs a grid of points xs")
@@ -197,10 +196,6 @@ class CoupledRunResult:
     differing: dict  # agent -> differing sample index
 
 
-def _mean_grad(obj: Objective, samples: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return obj.grad_batch(x, samples[idx]).mean(axis=0)
-
-
 def coupled_pair_run(
     gp: GraphPair,
     scheme: SchemeParams,
@@ -226,73 +221,42 @@ def coupled_pair_run(
             differing[i] = differing_index(datasets[i], datasets_alt[i])
         except AdjacencyError as exc:
             if "identical" in str(exc):
-                continue
+                continue  # identical collections are allowed; their differences are 0
             raise
-    if not differing:
-        pass  # identical collections are allowed; all measured differences are 0
     forbid = forbid or {}
 
     rates = rates_at(scheme, K)
     m = rates.m_int
-    row = gp.row_sums_R
-    col = gp.col_sums_C
-    a, b, c = rates.alpha, rates.beta, rates.gamma
+    x0 = draw_x0(seed, n, d) if x0 is None else np.asarray(x0, dtype=float)
 
-    if x0 is None:
-        x0 = np.stack(
-            [keyed_generator(seed, i, 0, ROLE_X0).uniform(-1.0, 1.0, size=d) for i in range(n)]
-        )
-    sizes = [datasets[i].size for i in range(n)]
+    def draw(k: int) -> list[np.ndarray]:
+        idxs = draw_indices(seed, datasets, k, m)
+        for i in range(n):
+            if i in forbid and forbid[i] in idxs[i]:
+                pool = np.setdiff1d(np.arange(datasets[i].size), idxs[i])
+                if pool.size == 0:
+                    raise ValueError("cannot exclude an index from a full-batch draw")
+                idxs[i] = np.where(idxs[i] == forbid[i], pool[0], idxs[i])
+        return idxs
 
-    def draw(i: int, k: int) -> np.ndarray:
-        idx = sample_indices(seed, i, k, sizes[i], m)
-        if i in forbid and forbid[i] in idx:
-            pool = np.setdiff1d(np.arange(sizes[i]), idx, assume_unique=False)
-            if pool.size == 0:
-                raise ValueError("cannot exclude an index from a full-batch draw")
-            idx = idx.copy()
-            idx[idx == forbid[i]] = pool[0]
-        return idx
-
-    x_a = x0.copy()
-    x_b = x0.copy()
-    g_a = np.empty((n, d))
-    g_b = np.empty((n, d))
-    for i in range(n):
-        idx = draw(i, 0)
-        g_a[i] = _mean_grad(obj, datasets[i].samples, x_a[i], idx)
-        g_b[i] = _mean_grad(obj, datasets_alt[i].samples, x_b[i], idx)
-    y_a = g_a.copy()
-    y_b = g_b.copy()
+    idxs = draw(0)
+    x_a, y_a = x0, sampled_gradients(obj, datasets, x0, idxs)
+    x_b, y_b = x0, sampled_gradients(obj, datasets_alt, x0, idxs)
+    g_a, g_b = y_a, y_b
 
     dx_meas = np.zeros((n, K + 1))
     dy_meas = np.zeros((n, K + 1))
-    dx_meas[:, 0] = np.abs(x_a - x_b).sum(axis=1)
     dy_meas[:, 0] = np.abs(y_a - y_b).sum(axis=1)
-
     for k in range(K):
-        xb = x_a.copy()
-        yb = y_a.copy()
-        for i in range(n):
-            sz = rates.sigma_zeta(i, k)
-            se = rates.sigma_eta(i, k)
-            if sz > 0.0:
-                xb[i] += laplace_vector(seed, i, k, ROLE_ZETA, d, sz)
-            if se > 0.0:
-                yb[i] += laplace_vector(seed, i, k, ROLE_ETA, d, se)
-        # Both sides receive the same broadcast block xb / yb.
-        x_a_next = (1.0 - a * row)[:, None] * x_a + a * (gp.R @ xb) - c * y_a
-        x_b_next = (1.0 - a * row)[:, None] * x_b + a * (gp.R @ xb) - c * y_b
-        g_a_next = np.empty((n, d))
-        g_b_next = np.empty((n, d))
-        for i in range(n):
-            idx = draw(i, k + 1)
-            g_a_next[i] = _mean_grad(obj, datasets[i].samples, x_a_next[i], idx)
-            g_b_next[i] = _mean_grad(obj, datasets_alt[i].samples, x_b_next[i], idx)
-        y_a = (1.0 - b * col)[:, None] * y_a + b * (gp.C @ yb) + g_a_next - g_a
-        y_b = (1.0 - b * col)[:, None] * y_b + b * (gp.C @ yb) + g_b_next - g_b
-        x_a, x_b = x_a_next, x_b_next
-        g_a, g_b = g_a_next, g_b_next
+        zeta, eta = noise(seed, rates, k, n, d)
+        xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
+        idxs = draw(k + 1)
+        x_a, y_a, g_a = update(
+            x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), rates, gp, k
+        )
+        x_b, y_b, g_b = update(
+            x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), rates, gp, k
+        )
         dx_meas[:, k + 1] = np.abs(x_a - x_b).sum(axis=1)
         dy_meas[:, k + 1] = np.abs(y_a - y_b).sum(axis=1)
 
@@ -397,40 +361,33 @@ def micro_dp_check(
     m = rates.m_int
     n = gp.n
     grad = _affine_grad_d1(obj)
-    x0 = np.array(
-        [float(keyed_generator(seed, i, 0, ROLE_X0).uniform(-1.0, 1.0)) for i in range(n)]
-    )
-    row = gp.row_sums_R
-    col = gp.col_sums_C
-    a, b, c = rates.alpha, rates.beta, rates.gamma
+    x0 = draw_x0(seed, n, 1)
 
     def simulate(side: int, sample_sets: list[Dataset]) -> np.ndarray:
+        # States are (trials, n, 1): one scalar run per trial along the batch axis.
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(side,)))
         values = [sample_sets[i].samples[:, 0] for i in range(n)]
-        x = np.tile(x0, (trials, 1))
-        g = np.empty((trials, n))
-        for i in range(n):
-            g[:, i] = grad(x[:, i], _subset_means(rng, values[i], m, trials))
-        y = g.copy()
+
+        def grad_at(x: np.ndarray) -> np.ndarray:
+            cols = [grad(x[:, i, 0], _subset_means(rng, values[i], m, trials)) for i in range(n)]
+            return np.stack(cols, axis=1)[:, :, None]
+
+        x = np.broadcast_to(x0, (trials, n, 1))
+        g = grad_at(x)
+        y = g
         obs = np.empty((trials, 2 * (K + 1)))
         for k in range(K + 1):
-            zeta = np.empty((trials, n))
-            eta = np.empty((trials, n))
+            zeta = np.empty((trials, n, 1))
+            eta = np.empty((trials, n, 1))
             for i in range(n):
-                zeta[:, i] = rng.laplace(0.0, rates.sigma_zeta(i, k), size=trials)
-                eta[:, i] = rng.laplace(0.0, rates.sigma_eta(i, k), size=trials)
-            xb = x + zeta
-            yb = y + eta
-            obs[:, 2 * k] = xb[:, agent]
-            obs[:, 2 * k + 1] = yb[:, agent]
+                zeta[:, i, 0] = rng.laplace(0.0, rates.sigma_zeta(i, k), size=trials)
+                eta[:, i, 0] = rng.laplace(0.0, rates.sigma_eta(i, k), size=trials)
+            xb, yb = x + zeta, y + eta
+            obs[:, 2 * k] = xb[:, agent, 0]
+            obs[:, 2 * k + 1] = yb[:, agent, 0]
             if k == K:
                 break
-            x_next = (1.0 - a * row)[None, :] * x + a * (xb @ gp.R.T) - c * y
-            g_next = np.empty((trials, n))
-            for i in range(n):
-                g_next[:, i] = grad(x_next[:, i], _subset_means(rng, values[i], m, trials))
-            y = (1.0 - b * col)[None, :] * y + b * (yb @ gp.C.T) + g_next - g
-            x, g = x_next, g_next
+            x, y, g = update(x, y, g, xb, yb, grad_at, rates, gp, k)
         return obs
 
     obs_a = simulate(0, datasets)

@@ -223,6 +223,17 @@ class ValidationReport:
                 return e
         raise KeyError(name)
 
+    def to_dict(self) -> dict:
+        """JSON form: verdict, derived values (numbers as floats), every inequality."""
+        return {
+            "overall": self.overall,
+            "derived": {k: (v if isinstance(v, str) else float(v)) for k, v in self.derived.items()},
+            "entries": [
+                {"name": e.name, "lhs": e.lhs, "rhs": e.rhs, "slack": e.slack, "satisfied": e.satisfied}
+                for e in self.entries
+            ],
+        }
+
 
 def _lt(name: str, lhs: float, rhs: float) -> InequalityCheck:
     return InequalityCheck(name, float(lhs), float(rhs), True, bool(lhs < rhs))

@@ -17,6 +17,7 @@ from dpgt.engine import (
     run_ensemble,
     sample_indices,
     step,
+    update,
 )
 from dpgt.graphs import build_graph_pair, spectral_constants
 from dpgt.objectives import generate_quadratic_datasets, make_quadratic
@@ -180,6 +181,33 @@ class TestStep:
         bad = s2(gamma=900.0)
         with pytest.raises(DivergenceError):
             run(gp, bad, obj, K=200, seed=0)
+
+    def test_compact_step_divergence_guard_fires(self):
+        gp = five_node_pair()
+        obj = quad_objective()
+        rates = rates_at(s2(gamma=900.0), 200)
+        st = initialize(gp, rates, obj, seed=0)
+        with pytest.raises(DivergenceError):
+            for _ in range(201):
+                st = compact_step(st, gp, rates, obj)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_update_on_a_batch_equals_separate_calls(self, d):
+        # Agents sit on axis -2, so an (S, n, d) batch is S independent runs.
+        gp = five_node_pair()
+        rates = rates_at(s2(), 10)
+        rng = np.random.default_rng(11)
+        S, n = 6, gp.n
+        x, y, g, xb, yb = (rng.normal(size=(S, n, d)) for _ in range(5))
+
+        def grad_at(x_next):
+            return np.sin(x_next) + 0.5 * x_next
+
+        batched = update(x, y, g, xb, yb, grad_at, rates, gp, 3)
+        for s in range(S):
+            single = update(x[s], y[s], g[s], xb[s], yb[s], grad_at, rates, gp, 3)
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[s], want)
 
 
 class TestRun:

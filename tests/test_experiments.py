@@ -278,6 +278,22 @@ class TestRunExperiment:
             run_experiment(config)
 
 
+class TestConfigFile:
+    def test_unknown_key_rejected_by_name(self, experiment_dir):
+        doc = configio.load_json(experiment_dir / "config.json")
+        doc["gap_weighting"] = "uniform"
+        configio.dump_json(doc, experiment_dir / "config.json")
+        with pytest.raises(ValueError, match="gap_weighting"):
+            ExperimentConfig.from_file(experiment_dir / "config.json")
+
+    def test_wrong_schema_version_rejected(self, experiment_dir):
+        doc = configio.load_json(experiment_dir / "config.json")
+        doc["schema_version"] = 2
+        configio.dump_json(doc, experiment_dir / "config.json")
+        with pytest.raises(ValueError, match="schema_version"):
+            ExperimentConfig.from_file(experiment_dir / "config.json")
+
+
 class TestSweep:
     def test_noise_exponent_ordering(self, experiment_dir):
         config = ExperimentConfig.from_file(experiment_dir / "config.json")
