@@ -56,15 +56,11 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _check_version(doc: dict, what: str) -> None:
+def check_document(doc: dict, what: str, keys) -> None:
+    """Reject a wrong schema_version and any key outside ``keys``."""
     v = doc.get("schema_version", SCHEMA_VERSION)
     if v != SCHEMA_VERSION:
         raise ValueError(f"{what}: unsupported schema_version {v}")
-
-
-def check_document(doc: dict, what: str, keys) -> None:
-    """Reject a wrong schema_version and any key outside ``keys``."""
-    _check_version(doc, what)
     unknown = sorted(set(doc) - set(keys) - {"schema_version"})
     if unknown:
         raise ValueError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
@@ -80,7 +76,7 @@ def graph_to_dict(gp: GraphPair) -> dict:
 
 
 def graph_from_dict(doc: dict) -> GraphPair:
-    _check_version(doc, "graph")
+    check_document(doc, "graph", ("n", "R", "C"))
     gp = build_graph_pair(doc["R"], doc["C"])
     if "n" in doc and int(doc["n"]) != gp.n:
         raise ValueError(f"graph: declared n={doc['n']} but matrices are {gp.n}x{gp.n}")
@@ -103,21 +99,27 @@ def scheme_to_dict(p: SchemeParams) -> dict:
     return doc
 
 
+_SCHEME_KEYS = {
+    "S1": ("a1", "a2", "a3", "a4", "p_alpha", "p_beta", "p_gamma", "p_m", "p_zeta", "p_eta"),
+    "S2": ("alpha", "beta", "gamma", "p_m", "p_zeta", "p_eta"),
+}
+
+
 def scheme_from_dict(doc: dict) -> SchemeParams:
-    _check_version(doc, "scheme")
     kind = doc.get("kind")
+    if kind not in _SCHEME_KEYS:
+        raise ValueError(f"scheme: unknown kind {kind!r}")
+    check_document(doc, f"{kind} scheme", ("kind",) + _SCHEME_KEYS[kind])
     if kind == "S1":
         return S1Params(
             a1=doc["a1"], a2=doc["a2"], a3=doc["a3"], a4=doc["a4"],
             p_alpha=doc["p_alpha"], p_beta=doc["p_beta"], p_gamma=doc["p_gamma"],
             p_m=doc["p_m"], p_zeta=tuple(doc["p_zeta"]), p_eta=tuple(doc["p_eta"]),
         )
-    if kind == "S2":
-        return S2Params(
-            alpha=doc["alpha"], beta=doc["beta"], gamma=doc["gamma"], p_m=doc["p_m"],
-            p_zeta=tuple(doc["p_zeta"]), p_eta=tuple(doc["p_eta"]),
-        )
-    raise ValueError(f"scheme: unknown kind {kind!r}")
+    return S2Params(
+        alpha=doc["alpha"], beta=doc["beta"], gamma=doc["gamma"], p_m=doc["p_m"],
+        p_zeta=tuple(doc["p_zeta"]), p_eta=tuple(doc["p_eta"]),
+    )
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
@@ -130,17 +132,24 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def dataset_from_dict(doc: dict) -> Dataset:
-    _check_version(doc, "dataset")
+    check_document(doc, "dataset", ("agent", "r", "samples"))
     ds = make_dataset(doc["agent"], np.asarray(doc["samples"], dtype=float))
     if ds.sample_dim != int(doc["r"]):
         raise ValueError(f"dataset: declared r={doc['r']} but samples have width {ds.sample_dim}")
     return ds
 
 
+# Keys of every objective document, and the extra keys of each kind.
+_OBJECTIVE_KEYS = ("kind", "n_agents", "dataset_files", "D", "data_seed")
+_OBJECTIVE_KIND_KEYS = {"quadratic": ("A", "dvec"), "trig": (), "logistic": ("dim",)}
+
+
 def objective_from_dict(doc: dict, base_dir: Path | None = None) -> Objective:
     """Build an objective from its config document; data comes from files or a seed."""
-    _check_version(doc, "objective")
     kind = doc["kind"]
+    if kind not in _OBJECTIVE_KIND_KEYS:
+        raise ValueError(f"objective: unknown kind {kind!r}")
+    check_document(doc, f"{kind} objective", _OBJECTIVE_KEYS + _OBJECTIVE_KIND_KEYS[kind])
     n = int(doc["n_agents"])
     if "dataset_files" in doc:
         root = base_dir or Path(".")
@@ -152,14 +161,10 @@ def objective_from_dict(doc: dict, base_dir: Path | None = None) -> Objective:
             datasets = generate_quadratic_datasets(n, D, seed)
         elif kind == "trig":
             datasets = generate_trig_datasets(n, D, seed)
-        elif kind == "logistic":
-            datasets = generate_logistic_datasets(n, D, int(doc["dim"]), seed)
         else:
-            raise ValueError(f"objective: unknown kind {kind!r}")
+            datasets = generate_logistic_datasets(n, D, int(doc["dim"]), seed)
     if kind == "quadratic":
         return make_quadratic(np.asarray(doc["A"], float), np.asarray(doc["dvec"], float), n, datasets)
     if kind == "trig":
         return make_trig(n, datasets)
-    if kind == "logistic":
-        return make_logistic(n, datasets)
-    raise ValueError(f"objective: unknown kind {kind!r}")
+    return make_logistic(n, datasets)

@@ -177,31 +177,47 @@ def build_graph_pair(R, C) -> GraphPair:
     return GraphPair(n=n, R=R, C=C, L1=L1, L2=L2)
 
 
+def _reach(adjacency: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
+    """Nodes of ``allowed`` reachable from ``start`` through ``allowed``, breadth first."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
 def _spanning_roots(adjacency: np.ndarray) -> list[int]:
-    """Nodes from which every node is reachable (adjacency[u, v]: edge u -> v)."""
+    """Nodes from which every node is reachable (adjacency[u, v]: edge u -> v).
+
+    Search from each node not yet visited, through unvisited nodes only.  The
+    visited set is closed under out-edges after every search, so a root found
+    before the last search would have reached its start: if any root exists,
+    the start ``last`` of the last search is one.  The roots are then exactly
+    the nodes that reach ``last``, found by one search on the reversed edges.
+    """
     n = adjacency.shape[0]
-    roots = []
+    visited = np.zeros(n, dtype=bool)
+    last = 0
     for r in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[r] = True
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adjacency[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        if seen.all():
-            roots.append(r)
-    return roots
+        if not visited[r]:
+            last = r
+            visited |= _reach(adjacency, r, ~visited)
+    everything = np.ones(n, dtype=bool)
+    if not _reach(adjacency, last, everything).all():
+        return []
+    return np.flatnonzero(_reach(adjacency.T, last, everything)).tolist()
 
 
 def check_connectivity(gp: GraphPair) -> ConnectivityReport:
     """Spanning-tree test for the state graph and the transposed tracking graph.
 
     An edge u -> v exists in the state graph when v receives from u, i.e. when
-    R[v, u] > 0; in the transposed tracking graph when C[u, v] > 0.  The report
-    carries some common root of both graphs if one exists.
+    R[v, u] > 0; in the transposed tracking graph when C[u, v] > 0.  Each
+    graph's roots come from :func:`_spanning_roots`, which visits every node
+    once and then runs two more searches, not a search from every node.  The
+    report carries the smallest common root of both graphs if one exists.
     """
     roots_r = _spanning_roots(gp.R.T > 0)
     roots_ct = _spanning_roots(gp.C > 0)

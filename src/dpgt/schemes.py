@@ -404,7 +404,7 @@ def check_budget_finiteness(
         entries.append(_lt("p_m > max_i max(1/p_zeta, 1/p_eta)", need, params.p_m))
         base = params.p_m * min(min(params.p_zeta), min(params.p_eta))
         derived["decay_base"] = base
-        derived["tail_order"] = f"O(K * ({1.0 / base:.6g})^K)"
+        derived["tail_order"] = f"O(K * ({1.0 / base if base > 0.0 else math.inf:.6g})^K)"
         if base > 1.0:
             derived["decreasing_after"] = 1.0 / math.log(base)
         if gp is not None:

@@ -155,6 +155,13 @@ class TestSensitivityTrace:
             cap = 2 * 1.5 / (r.m * b) + 1.5 / r.m
             assert tr.dy[i].max() <= cap + 1e-12
 
+    @pytest.mark.parametrize("C", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_adjacency_constant_must_be_finite_and_positive(self, C):
+        # A NaN constant used to give NaN bounds and then a NaN budget.
+        p = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.1, p_zeta=(0.9,) * 2, p_eta=(0.9,) * 2)
+        with pytest.raises(ValueError, match="finite and positive"):
+            sensitivity_trace(two_agent_pair(), p, C, 10)
+
 
 class TestEpsilon:
     def test_budget_is_linear_in_inverse_scale(self):

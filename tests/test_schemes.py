@@ -230,6 +230,13 @@ class TestBudgetFiniteness:
         assert not rep.entry("max p_zeta < 1").satisfied
         assert not rep.overall
 
+    def test_constant_sampling_count_reports_instead_of_raising(self):
+        # p_m = 0 keeps m = 1: the decay base is 0 and the budget grows without bound.
+        p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=0.0, p_zeta=(0.95,), p_eta=(0.95,))
+        rep = check_budget_finiteness(p)
+        assert not rep.entry("p_m > max_i max(1/p_zeta, 1/p_eta)").satisfied
+        assert rep.derived["tail_order"] == "O(K * (inf)^K)"
+
     def test_weight_caps_checked_with_graph(self):
         M = np.array([[0.0, 1.0], [1.0, 0.0]])
         gp = build_graph_pair(M, M)
