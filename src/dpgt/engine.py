@@ -92,20 +92,37 @@ class DivergenceError(RuntimeError):
 _local = threading.local()
 
 
-def _template() -> np.random.Generator:
-    gen = getattr(_local, "gen", None)
-    if gen is None:
-        gen = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
-        _local.gen = gen
-    return gen
+def _new_slot() -> tuple[np.random.Generator, np.random.Philox, list[int], dict]:
+    """A generator, its Philox, and the key list inside the state dict that re-keys it."""
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    key = [0, 0]
+    # Philox's state setter reads these entries by index, so plain lists
+    # serve, and rewriting two key words re-keys without building arrays.
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen), bitgen, key, state
 
 
 def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Generator:
     """Philox stream uniquely keyed by (seed, agent, iteration, role).
 
-    A thread-local generator is re-keyed in place (fresh counter, empty
-    buffer), so repeated calls avoid re-seeding costs while staying
-    independent of call order.
+    The draws equal those of a fresh ``Generator(Philox(key=k2))`` with
+    ``k2 = np.array([seed % 2**64, word], dtype=np.uint64)`` and
+    ``word = agent << 48 | role << 40 | k``, whatever was drawn before:
+    each call resets the counter and empties the buffers.
+
+    The result is one generator shared by every keyed call in this thread,
+    re-keyed in place and valid only until the next keyed call, so callers
+    draw from it at once and never hold it.  Returning the draws instead
+    (ROADMAP item 4) changes the call structure that the benchmark
+    self-test pins as a closed form for ``engine.keyed_generator.calls``,
+    so that fix waits for a change that rewrites the closed form.
     """
     if not (0 <= agent < 2**_KEY_AGENT_BITS):
         raise ConfigError(f"agent id {agent} outside key range")
@@ -113,19 +130,13 @@ def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Gener
         raise ConfigError(f"iteration index {k} outside key range")
     if not (0 <= role < 2**_KEY_ROLE_BITS):
         raise ConfigError(f"role {role} outside key range")
-    word = (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
-    gen = _template()
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed % 2**64, word], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    try:
+        gen, bitgen, key, state = _local.slot
+    except AttributeError:
+        gen, bitgen, key, state = _local.slot = _new_slot()
+    key[0] = seed % 2**64
+    key[1] = (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
+    bitgen.state = state
     return gen
 
 
@@ -199,10 +210,17 @@ def draw_indices(seed: int, datasets, k: int, m: int) -> list[np.ndarray]:
 
 
 def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarray:
-    """Row i: mean per-sample gradient at x[i] over datasets[i].samples[idxs[i]]."""
-    return np.stack(
-        [obj.grad_batch(xi, ds.samples[idx]).mean(axis=0) for xi, ds, idx in zip(x, datasets, idxs)]
-    )
+    """Row i: mean per-sample gradient at x[i] over datasets[i].samples[idxs[i]].
+
+    Each row is ``.mean(axis=0)``'s own arithmetic, a sum reduction and then
+    an in-place division by the count, written into the output directly.
+    """
+    out = np.empty(np.shape(x))
+    for row, xi, ds, idx in zip(out, x, datasets, idxs, strict=True):
+        g = obj.grad_batch(xi, ds.samples[idx])
+        np.add.reduce(g, axis=0, out=row)
+        row /= g.shape[0]
+    return out
 
 
 def _guard(name: str, arr: np.ndarray, k: int) -> None:
@@ -249,6 +267,8 @@ def initialize(
 ) -> EngineState:
     """Draw x_0 if absent, sample the first gradient batches, and set y_0 = g_0."""
     n, d = gp.n, obj.dim
+    if len(obj.datasets) != n:
+        raise ConfigError(f"the objective has {len(obj.datasets)} agents, the graph pair {n}")
     if x0 is None:
         x0 = draw_x0(seed, n, d)
     else:
@@ -351,8 +371,11 @@ def _metrics(
     f_star: float,
     avg_weights: np.ndarray,
 ) -> tuple[float, float, np.ndarray, float]:
-    cx = float(np.linalg.norm(sc.W1 @ x) ** 2)
-    cy = float(np.linalg.norm(sc.W2 @ y) ** 2)
+    # np.sqrt(w.dot(w)) is np.linalg.norm's arithmetic for a flat vector.
+    wx = (sc.W1 @ x).ravel()
+    wy = (sc.W2 @ y).ravel()
+    cx = float(np.sqrt(wx.dot(wx)) ** 2)
+    cy = float(np.sqrt(wy.dot(wy)) ** 2)
     grads = (obj.global_gradient_rows(x) ** 2).sum(axis=1)
     x_bar = (avg_weights @ x) / sc.n
     gap = obj.global_value(x_bar) - f_star

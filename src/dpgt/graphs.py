@@ -25,6 +25,7 @@ of the tracking graph must both contain a spanning tree with a common root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -94,13 +95,20 @@ class GraphPair:
     L1: np.ndarray
     L2: np.ndarray
 
-    @property
+    # Summed once per pair, not on every update; read-only, since every
+    # caller shares the one array.
+    @cached_property
     def row_sums_R(self) -> np.ndarray:
-        return self.R.sum(axis=1)
+        return _read_only(self.R.sum(axis=1))
 
-    @property
+    @cached_property
     def col_sums_C(self) -> np.ndarray:
-        return self.C.sum(axis=0)
+        return _read_only(self.C.sum(axis=0))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,8 @@ def generate_logistic_datasets(n_agents: int, D: int, dim: int, seed: int) -> li
 
 def _norm_coupling_grad(x: np.ndarray) -> np.ndarray:
     # Gradient of ||x|| / (1 + ||x||); the kink at the origin is resolved as 0.
-    nx = np.linalg.norm(x)
+    # np.sqrt(x.dot(x)) is np.linalg.norm's arithmetic for a 1-D x.
+    nx = np.sqrt(x.dot(x))
     if nx == 0.0:
         return np.zeros_like(x)
     return x / (nx * (1.0 + nx) ** 2)
@@ -253,21 +254,29 @@ def make_quadratic(A, dvec, n_agents: int, datasets) -> Objective:
     def grad_batch_fn(x, xis):
         base = smooth_grad(x)
         coupling = _norm_coupling_grad(x)
-        return base[None, :] + np.outer(xis[:, 0], coupling)
+        # np.outer(xis[:, 0], coupling), written as the broadcast product it is.
+        return base[None, :] + xis[:, :1] * coupling[None, :]
 
     def global_value_fn(x):
         res = A @ x - dvec
-        nx = np.linalg.norm(x)
+        nx = np.sqrt(x.dot(x))
         return 0.5 * (res @ res) / n + mean_all * nx / (1.0 + nx)
 
     def global_grad_fn(x):
         return smooth_grad(x) + mean_all * _norm_coupling_grad(x)
 
+    At_dvec = (A.T @ dvec)[None, :]
+
     def global_grad_rows_fn(xs):
-        base = (xs @ gram - (A.T @ dvec)[None, :]) / n
-        norms = np.linalg.norm(xs, axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coupling = np.where(norms > 0, xs / (norms * (1.0 + norms) ** 2), 0.0)
+        base = (xs @ gram - At_dvec) / n
+        # np.linalg.norm(xs, axis=1, keepdims=True), by the same reduction.
+        norms = np.sqrt(np.add.reduce(xs * xs, axis=1, keepdims=True))
+        positive = norms > 0
+        if positive.all():
+            coupling = xs / (norms * (1.0 + norms) ** 2)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coupling = np.where(positive, xs / (norms * (1.0 + norms) ** 2), 0.0)
         return base + mean_all * coupling
 
     x_ls = np.linalg.solve(gram, A.T @ dvec)

@@ -161,8 +161,13 @@ def rates_at(params: SchemeParams, K: int) -> Rates:
         raise ValueError("horizon K must be nonnegative")
     if isinstance(params, S1Params):
         kp1 = (K + 1.0)
-        growth = float(K) ** params.p_m if K > 0 else (1.0 if params.p_m == 0 else 0.0)
-        m = math.floor(params.a4 * growth) + 1 if math.isfinite(growth) else math.inf
+        try:
+            growth = float(K) ** params.p_m if K > 0 else (1.0 if params.p_m == 0 else 0.0)
+        except OverflowError:  # K**p_m beyond the float range
+            growth = math.inf
+        # a4 * growth can overflow where growth does not; a4 = 0 keeps m = 1.
+        scaled = params.a4 * growth if params.a4 > 0 else 0.0
+        m = math.floor(scaled) + 1 if math.isfinite(scaled) else math.inf
         return Rates(
             kind="S1",
             K=K,

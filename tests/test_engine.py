@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dpgt.engine import (
     ConfigError,
@@ -69,6 +71,37 @@ class TestKeyedStreams:
         _ = keyed_generator(9, 3, 5, 1).laplace(0, 1, 4)  # interleaved other stream
         b = keyed_generator(9, 2, 5, 1).laplace(0, 1, 4)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**70),
+        agent=hst.integers(0, 2**16 - 1),
+        k=hst.integers(0, 2**40 - 1),
+        role=hst.integers(0, 2**8 - 1),
+        before=hst.sampled_from(["nothing", "random", "integers", "permutation"]),
+        size=hst.integers(1, 9),
+    )
+    def test_rekeyed_equals_fresh_generator(self, seed, agent, k, role, before, size):
+        # Whatever the shared generator drew last (a partly used buffer, a
+        # spare uint32 from integers), a re-keyed draw equals a fresh stream's.
+        word = (agent << 48) | (role << 40) | k
+        for draw in (
+            lambda g: g.random(size),
+            lambda g: g.laplace(0.0, 0.7, size),
+            lambda g: g.permutation(size + 3),
+        ):
+            prior = keyed_generator(seed + 1, (agent + 1) % 2**16, k, role)
+            if before == "random":
+                prior.random(size)
+            elif before == "integers":
+                prior.integers(0, 10, size=size, dtype=np.int32)
+            elif before == "permutation":
+                prior.permutation(size)
+            got = draw(keyed_generator(seed, agent, k, role))
+            # A uint64 array: a plain list with a word >= 2**63 would pass through float64.
+            key = np.array([seed % 2**64, word], dtype=np.uint64)
+            want = draw(np.random.Generator(np.random.Philox(key=key)))
+            assert np.array_equal(got, want)
 
     def test_distinct_keys_decorrelated(self):
         a = keyed_generator(9, 2, 5, 1).laplace(0, 1, 1000)
@@ -230,6 +263,11 @@ class TestRun:
             lhs = st.y.sum(axis=0)
             rhs = st.g_prev.sum(axis=0)
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+
+    def test_agent_count_mismatch_rejected(self):
+        for n_obj in (4, 6):
+            with pytest.raises(ConfigError):
+                run(five_node_pair(), s2(), quad_objective(n=n_obj), K=3, seed=0)
 
     def test_sampling_count_exceeding_dataset_rejected(self):
         gp = five_node_pair()

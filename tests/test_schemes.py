@@ -89,6 +89,20 @@ class TestRates:
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.5, p_zeta=(0.9,), p_eta=(0.9,))
         assert math.isinf(rates_at(p, 10**6).m)
 
+    def test_polynomial_product_overflow_guard(self):
+        # K**p_m = 1e15 is finite; a4 * K**p_m overflows, so m is inf and run refuses it.
+        from dpgt.engine import ConfigError, run
+        from dpgt.objectives import generate_quadratic_datasets, make_quadratic
+
+        p = s1_reference(a4=1e300, p_m=3.0, p_zeta=(0.1, 0.1), p_eta=(0.1, 0.1))
+        assert math.isinf(rates_at(p, 10**5).m)
+        assert math.isinf(rates_at(s1_reference(p_m=100.0), 10**5).m)  # K**p_m itself overflows
+        assert rates_at(s1_reference(a4=0.0, p_m=100.0), 10**5).m == 1
+        gp = build_graph_pair(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([[0.0, 0.5], [0.5, 0.0]]))
+        obj = make_quadratic(np.eye(2), np.ones(2), 2, generate_quadratic_datasets(2, 10, 0))
+        with pytest.raises(ConfigError):
+            run(gp, p, obj, K=10**5, seed=0)
+
 
 class TestValidateS1:
     def test_exponent_inequalities_pass_for_reference_set(self, sc5):
