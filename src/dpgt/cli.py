@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze-graph, gen-data, validate-scheme, run, privacy-budget,
-bound-check, sweep.  Worker count for ensembles comes from DPGT_WORKERS.
+bound-check, sweep.  Ensembles choose serial or thread-pool execution
+themselves, from the dataset size and the available cores (see
+``engine.run_ensemble``).
 """
 
 from __future__ import annotations

@@ -192,13 +192,8 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
         # the peak resident set of a budget run by about 2%.
         for k0 in range(0, K + 1, _BUDGET_BLOCK):
             block = slice(k0, k0 + _BUDGET_BLOCK)
-            ks = range(K + 1)[block]
-            for sens, sigma in (
-                (trace.dx[i, block], rates.sigma_zeta),
-                (trace.dy[i, block], rates.sigma_eta),
-            ):
-                # Python-float scales: np.power can differ from ** in the last ulp.
-                scale = np.fromiter(map(sigma, repeat(i), ks), float, len(ks))
+            for sens, scale in zip((trace.dx[i, block], trace.dy[i, block]),
+                                   rates.sigma_rows(i, range(K + 1)[block])):
                 no_noise = ~(scale > 0.0)
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     np.divide(sens, scale, out=scale)

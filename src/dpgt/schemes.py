@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -133,6 +134,23 @@ class Rates:
         if self.kind == "S1":
             return (k + 1.0) ** self._p_eta[agent]
         return self._sigma_eta[agent]
+
+    def sigma_rows(self, agent: int, ks: range) -> tuple[np.ndarray, np.ndarray]:
+        """``sigma_zeta(agent, k)`` and ``sigma_eta(agent, k)`` for k in a step-1 range, bit for bit.
+
+        S1 powers stay Python floats, since ``np.power`` can differ from
+        ``**`` in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.
+        """
+        if self.noise_off:
+            return np.zeros(len(ks)), np.zeros(len(ks))
+        if self.kind == "S2":
+            return (np.full(len(ks), self._sigma_zeta[agent]),
+                    np.full(len(ks), self._sigma_eta[agent]))
+        bases = range(ks.start + 1, ks.stop + 1)
+        return tuple(
+            np.fromiter(map(pow, map(float, bases), repeat(p)), float, len(ks))
+            for p in (self._p_zeta[agent], self._p_eta[agent])
+        )
 
     def sigma_zeta_all(self, k: int) -> np.ndarray:
         return np.array([self.sigma_zeta(i, k) for i in range(len(self._p_zeta))])

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from dpgt import engine
 from dpgt.engine import (
     ConfigError,
     DivergenceError,
@@ -102,6 +106,33 @@ class TestKeyedStreams:
             key = np.array([seed % 2**64, word], dtype=np.uint64)
             want = draw(np.random.Generator(np.random.Philox(key=key)))
             assert np.array_equal(got, want)
+
+    def test_threads_interleaving_keep_their_own_streams(self):
+        # Each thread re-keys, waits until the other has re-keyed too, then
+        # draws: a generator shared across threads would give it the other's stream.
+        barrier = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def worker(seed):
+            got, want = [], []
+            for k in range(25):
+                gen = keyed_generator(seed, 3, k, 2)
+                barrier.wait()
+                got.append(gen.random(5))
+                barrier.wait()
+                key = np.array([seed, (3 << 48) | (2 << 40) | k], dtype=np.uint64)
+                want.append(np.random.Generator(np.random.Philox(key=key)).random(5))
+            results[seed] = (got, want)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (5, 6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert sorted(results) == [5, 6]
+        for got, want in results.values():
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     def test_distinct_keys_decorrelated(self):
         a = keyed_generator(9, 2, 5, 1).laplace(0, 1, 1000)
@@ -354,6 +385,43 @@ class TestRun:
             assert b / a <= 1 - rates.gamma * mu_true / 2 + 1e-9
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was built")
+
+
+def spy_pools(monkeypatch) -> list[int]:
+    """Record the worker count of every thread pool run_ensemble builds."""
+    built = []
+
+    class Spy(engine.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Spy)
+    return built
+
+
+def merge_like_run_ensemble(trajs) -> dict:
+    """The ensemble statistics of run_ensemble, from separate runs."""
+    grad = np.stack([t.grad_norm_sq for t in trajs])
+    vs = np.stack([t.v_series() for t in trajs])
+    finals = np.stack([t.final_grad_norm_sq for t in trajs])
+    R = len(trajs)
+    return {
+        "mean_consensus_x": np.mean([t.consensus_x for t in trajs], axis=0),
+        "mean_consensus_y": np.mean([t.consensus_y for t in trajs], axis=0),
+        "mean_gap": np.mean([t.gap for t in trajs], axis=0),
+        "mean_grad_norm_sq": grad.mean(axis=0),
+        "var_grad_norm_sq": grad.var(axis=0, ddof=1),
+        "mean_v": vs.mean(axis=0),
+        "se_v": vs.std(axis=0, ddof=1) / math.sqrt(R),
+        "mean_final_grad": finals.mean(axis=0),
+        "se_final_grad": finals.std(axis=0, ddof=1) / math.sqrt(R),
+        "samples_cum": trajs[0].samples_cum,
+    }
+
+
 class TestEnsemble:
     def test_single_run_matches(self):
         gp = five_node_pair()
@@ -379,12 +447,96 @@ class TestEnsemble:
         se = np.hypot(a.se_final_grad, b.se_final_grad)
         assert np.all(np.abs(a.mean_final_grad - b.mean_final_grad) <= 2.5 * se + 1e-12)
 
-    def test_worker_pool_matches_serial(self):
+    def test_pooled_run_matches_per_seed_runs(self, monkeypatch):
         gp = five_node_pair()
-        obj = quad_objective()
-        serial = run_ensemble(gp, s2(), obj, K=15, seeds=range(6), workers=1)
-        pooled = run_ensemble(gp, s2(), obj, K=15, seeds=range(6), workers=2)
-        assert np.array_equal(serial.mean_v, pooled.mean_v)
+        obj = quad_objective(D=engine._POOL_MIN_D)
+        seeds = [3, 8, 21]
+        built = spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pooled = run_ensemble(gp, s2(), obj, K=6, seeds=seeds)
+        assert built == [2]
+        merged = merge_like_run_ensemble([run(gp, s2(), obj, K=6, seed=s) for s in seeds])
+        for name, want in merged.items():
+            assert np.array_equal(getattr(pooled, name), want), name
+
+    def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch):
+        # Eight workers switching every microsecond share the graph pair (its
+        # lazily cached sums too), the objective and the spectral constants.
+        gp = five_node_pair()
+        obj = quad_objective(D=engine._POOL_MIN_D)
+        seeds = range(8)
+        built = spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_ensemble(gp, s2(), obj, K=4, seeds=seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [8]
+        merged = merge_like_run_ensemble([run(five_node_pair(), s2(), obj, K=4, seed=s) for s in seeds])
+        for name, want in merged.items():
+            assert np.array_equal(getattr(pooled, name), want), name
+
+    @pytest.mark.parametrize("one_core", ["affinity", "cpu_count"])
+    def test_one_core_runs_serially_with_equal_outputs(self, monkeypatch, one_core):
+        gp = five_node_pair()
+        obj = quad_objective(D=engine._POOL_MIN_D)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pooled = run_ensemble(gp, s2(), obj, K=6, seeds=range(3))
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+        if one_core == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:  # platforms without an affinity call fall back to the CPU count
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = run_ensemble(gp, s2(), obj, K=6, seeds=range(3))
+        for f in dataclasses.fields(serial):
+            assert np.array_equal(getattr(serial, f.name), getattr(pooled, f.name)), f.name
+
+    def test_small_datasets_never_build_a_pool(self, monkeypatch):
+        gp = five_node_pair()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+        run_ensemble(gp, s2(), quad_objective(D=engine._POOL_MIN_D - 1), K=3, seeds=range(4))
+
+    def test_one_seed_never_builds_a_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+        run_ensemble(five_node_pair(), s2(), quad_objective(D=engine._POOL_MIN_D), K=3, seeds=[4])
+
+    def test_diverging_pooled_ensemble_raises_the_first_seeds_error(self, monkeypatch):
+        gp = five_node_pair()
+        obj = quad_objective(D=engine._POOL_MIN_D)
+        bad = s2(gamma=900.0)
+        built = spy_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(DivergenceError) as serial:
+            run(gp, bad, obj, K=200, seed=10)
+        with pytest.raises(DivergenceError) as pooled:
+            run_ensemble(gp, bad, obj, K=200, seeds=range(10, 16))
+        assert built == [2]
+        assert str(pooled.value) == str(serial.value)
+
+    def test_first_failure_cancels_queued_seeds(self, monkeypatch):
+        # Seed 1 fails first; seed 0, already running, fails later.  The
+        # queued seeds are cancelled, and seed 0's error is raised, as the
+        # serial loop raises it.
+        started = []
+
+        def fake_run(gp, scheme, obj, K, seed, **kw):
+            started.append(seed)
+            if seed != 1:
+                threading.Event().wait(0.05)  # a slow seed that releases the GIL
+            if seed in (0, 1):
+                raise DivergenceError(f"seed {seed} diverged")
+
+        monkeypatch.setattr(engine, "run", fake_run)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        obj = quad_objective(D=engine._POOL_MIN_D)
+        with pytest.raises(DivergenceError, match="seed 0"):
+            run_ensemble(five_node_pair(), s2(), obj, K=3, seeds=range(20))
+        assert len(started) < 20
 
     def test_final_error_decreases_across_horizons(self):
         # longer geometric-schedule runs end closer to stationarity

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dpgt.graphs import build_graph_pair, spectral_constants
 from dpgt.schemes import (
@@ -84,6 +87,26 @@ class TestRates:
         r = rates_at(p, 40)
         assert r.sigma_zeta(0, 0) == r.sigma_zeta(0, 39) == pytest.approx(0.9**40)
         assert r.sigma_eta(0, 13) == pytest.approx(0.8**40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=hst.sampled_from(["S1", "S2"]),
+        p=hst.tuples(hst.floats(-3.0, 3.0), hst.floats(-3.0, 3.0)),
+        k0=hst.integers(0, 2**40),
+        length=hst.integers(0, 40),
+        noise_off=hst.booleans(),
+    )
+    def test_sigma_rows_equal_per_k_scales(self, kind, p, k0, length, noise_off):
+        if kind == "S1":
+            params = s1_reference(p_zeta=(0.1, p[0]), p_eta=(0.1, p[1]))
+        else:
+            bases = tuple((0.9, 0.05 + abs(q) / 3) for q in p)
+            params = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.1, p_zeta=bases[0], p_eta=bases[1])
+        rates = dataclasses.replace(rates_at(params, 50), noise_off=noise_off)
+        ks = range(k0, k0 + length)
+        zeta, eta = rates.sigma_rows(1, ks)
+        for got, sigma in ((zeta, rates.sigma_zeta), (eta, rates.sigma_eta)):
+            assert got.tobytes() == np.array([sigma(1, k) for k in ks], dtype=float).tobytes()
 
     def test_geometric_overflow_guard(self):
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.5, p_zeta=(0.9,), p_eta=(0.9,))
