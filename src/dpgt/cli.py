@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze-graph, gen-data, validate-scheme, run, privacy-budget,
-bound-check, sweep.  Ensembles choose serial or thread-pool execution
-themselves, from the dataset size and the available cores (see
+bound-check, sweep.  Ensembles choose serial or forked-process execution
+themselves, from their estimated size and the available cores (see
 ``engine.run_ensemble``).
 """
 

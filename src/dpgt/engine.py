@@ -29,8 +29,10 @@ off, 1ᵀ y_k = 1ᵀ g_k holds exactly for every k by telescoping from y_0 = g_0
 Randomness is counter-based: every Laplace block and every index draw comes
 from a fresh Philox stream keyed by (seed, agent, iteration, role), so the
 trajectory is independent of evaluation order and identical across reruns.
-The keyed generator is one object per thread, so seeds run on different
-threads draw the same streams as they do one after another.
+Seeds are therefore independent: :func:`run_ensemble` runs large ensembles
+in forked worker processes, one contiguous block of seeds each, and gets the
+same bits as one seed after another.  The keyed generator is one object per
+thread, so callers that run seeds on threads draw the same streams too.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,11 +83,13 @@ _KEY_AGENT_BITS = 16
 _KEY_ROLE_BITS = 8
 _KEY_ITER_BITS = 40
 
-# Smallest dataset at which run_ensemble runs seeds on a thread pool.  Below
-# it the GIL-bound small-array steps outweigh the GIL-releasing O(D) shuffle.
-# 2-thread/serial time (n=5, d=10, S1, K 10/20/40, 2 seeds): 0.95-1.02 at
-# D=1e4, 0.81-0.83 at 2**14, 0.56-0.58 at 5e4; 20 seeds at D=200: 1.73.
-_POOL_MIN_D = 2**14
+# Serial cost of one agent's step: a fixed part, and the O(D) index shuffle
+# per sample of its dataset (2-core x86 host, n=5, d=10).  run_ensemble forks
+# workers when the estimated serial time of the ensemble reaches _POOL_MIN_S,
+# well above the 8-18 ms that starting two workers costs.
+_AGENT_STEP_S = 30e-6
+_SAMPLE_S = 14e-9
+_POOL_MIN_S = 0.05
 
 
 class ConfigError(ValueError):
@@ -94,7 +97,27 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A state entry left the admissible range; parameters are unstable."""
+    """A state entry left the admissible range; parameters are unstable.
+
+    ``variable`` ("state" or "tracking"), iteration ``k`` and ``agent`` locate
+    the largest entry, of absolute value ``magnitude``.  ``seed`` is the
+    seed of the run that diverged, or None outside :func:`run`.
+    """
+
+    def __init__(self, variable: str, k: int, agent: int, magnitude: float, seed: int | None = None):
+        super().__init__(variable, k, agent, magnitude, seed)
+        self.variable, self.k, self.agent, self.magnitude, self.seed = variable, k, agent, magnitude, seed
+
+    def __str__(self) -> str:
+        run = "" if self.seed is None else f" (seed {self.seed})"
+        return (
+            f"{self.variable} of agent {self.agent} reached magnitude {self.magnitude:.3e} "
+            f"at iteration {self.k}{run}; step sizes are unstable for this problem"
+        )
+
+    def __reduce__(self):
+        # The attributes, not ``args``: run sets ``seed`` after construction.
+        return type(self), (self.variable, self.k, self.agent, self.magnitude, self.seed)
 
 
 _local = threading.local()
@@ -234,10 +257,9 @@ def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarr
 def _guard(name: str, arr: np.ndarray, k: int) -> None:
     worst = float(np.abs(arr).max())
     if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"{name} reached magnitude {worst:.3e} at iteration {k}; "
-            "step sizes are unstable for this problem"
-        )
+        # The entry behind ``worst`` (argmax, like max, stops at the first NaN); agents sit on axis -2.
+        agent = np.unravel_index(np.argmax(np.abs(arr)), arr.shape)[-2]
+        raise DivergenceError(name, k, int(agent), worst)
 
 
 def update(
@@ -438,7 +460,11 @@ def run(
     gap_arr = np.empty(n_rec)
     samples = np.empty(n_rec, dtype=np.int64)
     for k in range(K + 1):
-        state = step(state, gp, rates, obj)
+        try:
+            state = step(state, gp, rates, obj)
+        except DivergenceError as err:
+            err.seed = seed
+            raise
         cx, cy, grads, gap = _metrics(state.x, state.y, sc, obj, f_star, avg_w)
         consensus_x[k] = cx
         consensus_y[k] = cy
@@ -483,14 +509,6 @@ class EnsembleResult:
         return self.mean_grad_norm_sq.max(axis=1)
 
 
-def _run_for_seed(args) -> Trajectory:
-    gp, scheme, obj, K, seed, x0, sc, noise_off, gap_weighting = args
-    return run(
-        gp, scheme, obj, K, seed,
-        x0=x0, sc=sc, noise_off=noise_off, gap_weighting=gap_weighting,
-    )
-
-
 def _cores() -> int:
     """CPUs this process may run on."""
     try:
@@ -499,20 +517,63 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_pooled(jobs, workers: int) -> list[Trajectory]:
-    """``_run_for_seed`` over jobs on a thread pool, results in job order.
+def _workers(obj: Objective, K: int, n_seeds: int) -> int:
+    """Processes for an ensemble: one per core up to one per seed, or 1 (serial).
 
-    On the first failure the seeds still queued are cancelled.  They come
-    after every seed already started, so the lowest failing seed is among
-    the finished ones and its error is raised, as the serial loop raises it.
+    Serial while other threads are alive, since a forked child may inherit a
+    lock one of them holds, and inside a daemonic process, which may not
+    start children.
     """
-    pool = ThreadPoolExecutor(max_workers=workers)
+    workers = min(n_seeds, _cores())
+    seed_step_s = obj.n_agents * _AGENT_STEP_S + _SAMPLE_S * sum(ds.size for ds in obj.datasets)
+    if workers < 2 or n_seeds * (K + 2) * seed_step_s < _POOL_MIN_S or threading.active_count() > 1:
+        return 1
+    import multiprocessing  # here, so that importing dpgt does not pay for it
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return 1
+    return workers
+
+
+def _send(conn, fn, arg) -> None:
+    conn.send(fn(arg))
+    conn.close()
+
+
+def _run_forked(fn, args: list) -> list:
+    """``[fn(a) for a in args]``, each call in its own forked process.
+
+    Nothing is pickled on the way in: every child finds ``fn`` and its
+    argument in its copy of this process's memory, so closures serve.  Each
+    result is pickled back through a pipe and read in order.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
     try:
-        futures = [pool.submit(_run_for_seed, j) for j in jobs]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        for a in args:
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send, args=(writer, fn, a), daemon=True)
+            proc.start()
+            writer.close()  # the child holds the only writer, so its death reads as EOF
+            children.append((reader, proc))
+        results = []
+        for reader, proc in children:
+            try:
+                results.append(reader.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"an ensemble worker exited with code {proc.exitcode}") from None
+    except BaseException:
+        for _, proc in children:
+            proc.terminate()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
-    return [f.result() for f in futures]
+        for reader, proc in children:
+            reader.close()
+            proc.join()
+    return results
 
 
 def run_ensemble(
@@ -528,25 +589,46 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Independent runs over a seed list, merged in seed order.
 
-    Seeds run on a thread pool, one thread per available core up to one per
-    seed, when the smallest dataset has at least ``_POOL_MIN_D`` = 2**14 samples:
-    there the O(D) index shuffle, which releases the GIL, dominates each
-    step.  Smaller problems run serially, because their steps hold the GIL
-    and threads only slow them down.  Every run is pure with keyed RNG
-    streams, so results are identical either way.
+    A large ensemble runs on forked worker processes, one per available core
+    up to one per seed, each running one contiguous block of seeds in order.
+    It is large when its estimated serial time, seeds x (K + 2) steps of
+    n x ``_AGENT_STEP_S`` plus ``_SAMPLE_S`` per dataset sample, reaches
+    ``_POOL_MIN_S``.  Other ensembles run serially, as does every ensemble on
+    one core, where ``fork`` is unavailable, while other threads are alive,
+    or inside a daemonic process.  Every run is pure with keyed RNG streams, so results are
+    identical either way.  A block stops at its first failure, and the error
+    of the lowest failing seed is raised, as the serial loop raises it.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
     if sc is None:
         sc = spectral_constants(gp)
-    jobs = [(gp, scheme, obj, K, s, x0, sc, noise_off, gap_weighting) for s in seeds]
-    workers = min(len(seeds), _cores()) if obj.min_dataset_size() >= _POOL_MIN_D else 1
-    if workers > 1:
-        # Threads, not processes: objectives carry closures.
-        trajectories = _run_pooled(jobs, workers)
+
+    def run_block(block: list[int]) -> tuple[list[Trajectory], Exception | None]:
+        """The runs of a block in seed order up to its first failure, and that failure."""
+        done = []
+        for s in block:
+            try:
+                done.append(run(
+                    gp, scheme, obj, K, s,
+                    x0=x0, sc=sc, noise_off=noise_off, gap_weighting=gap_weighting,
+                ))
+            except Exception as err:
+                return done, err
+        return done, None
+
+    w = _workers(obj, K, len(seeds))
+    if w > 1:
+        blocks = [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)]
+        results = _run_forked(run_block, blocks)
     else:
-        trajectories = [_run_for_seed(j) for j in jobs]
+        results = [run_block(seeds)]
+    trajectories = []
+    for done, err in results:
+        trajectories += done
+        if err is not None:
+            raise err
 
     R = len(trajectories)
     grad = np.stack([t.grad_norm_sq for t in trajectories])  # (R, K+1, n)

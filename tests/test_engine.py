@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import os
-import sys
+import pickle
 import threading
 
 import numpy as np
@@ -48,6 +48,9 @@ def s2(n=5, **kw):
     base = dict(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.002, p_zeta=(0.93,) * n, p_eta=(0.93,) * n)
     base.update(kw)
     return S2Params(**base)
+
+
+DIVERGENCE_FIELDS = ("variable", "k", "agent", "magnitude", "seed")
 
 
 class TestLaplace:
@@ -246,6 +249,29 @@ class TestStep:
         with pytest.raises(DivergenceError):
             run(gp, bad, obj, K=200, seed=0)
 
+    def test_divergence_error_locates_the_largest_entry(self):
+        arr = np.zeros((2, 5, 3))
+        arr[1, 3, 2] = -2e12
+        with pytest.raises(DivergenceError) as caught:
+            engine._guard("tracking", arr, 7)
+        err = caught.value
+        assert [getattr(err, a) for a in DIVERGENCE_FIELDS] == ["tracking", 7, 3, 2e12, None]
+        arr[0, 4, 0] = np.nan  # NaN counts as the largest
+        with pytest.raises(DivergenceError) as caught:
+            engine._guard("state", arr, 2)
+        assert caught.value.agent == 4 and math.isnan(caught.value.magnitude)
+
+    def test_divergence_error_survives_pickling(self):
+        with pytest.raises(DivergenceError) as caught:
+            run(five_node_pair(), s2(gamma=900.0), quad_objective(), K=200, seed=3)
+        err = caught.value
+        assert err.seed == 3 and err.variable in ("state", "tracking") and 0 <= err.agent < 5
+        assert "seed 3" in str(err) and f"agent {err.agent}" in str(err)
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is DivergenceError
+        assert [getattr(clone, a) for a in DIVERGENCE_FIELDS] == [getattr(err, a) for a in DIVERGENCE_FIELDS]
+        assert str(clone) == str(err)
+
     def test_compact_step_divergence_guard_fires(self):
         gp = five_node_pair()
         obj = quad_objective()
@@ -385,30 +411,39 @@ class TestRun:
             assert b / a <= 1 - rates.gamma * mu_true / 2 + 1e-9
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a thread pool was built")
+def no_fork(*args, **kwargs):
+    raise AssertionError("ensemble workers were forked")
 
 
-def spy_pools(monkeypatch) -> list[int]:
-    """Record the worker count of every thread pool run_ensemble builds."""
-    built = []
+def spy_forks(monkeypatch) -> list:
+    """Record the seed blocks of every forked run that run_ensemble starts."""
+    calls = []
+    real = engine._run_forked
 
-    class Spy(engine.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def spy(fn, blocks):
+        calls.append([list(b) for b in blocks])
+        return real(fn, blocks)
 
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", Spy)
-    return built
+    monkeypatch.setattr(engine, "_run_forked", spy)
+    return calls
+
+
+def pool_on(monkeypatch, cores: int = 2) -> None:
+    """Give run_ensemble ``cores`` cores and make every ensemble large enough to fork for."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)
 
 
 def merge_like_run_ensemble(trajs) -> dict:
-    """The ensemble statistics of run_ensemble, from separate runs."""
+    """Every field of run_ensemble's result, from separate runs merged in order."""
     grad = np.stack([t.grad_norm_sq for t in trajs])
     vs = np.stack([t.v_series() for t in trajs])
     finals = np.stack([t.final_grad_norm_sq for t in trajs])
     R = len(trajs)
     return {
+        "K": trajs[0].K,
+        "n_runs": R,
+        "seeds": tuple(t.seed for t in trajs),
         "mean_consensus_x": np.mean([t.consensus_x for t in trajs], axis=0),
         "mean_consensus_y": np.mean([t.consensus_y for t in trajs], axis=0),
         "mean_gap": np.mean([t.gap for t in trajs], axis=0),
@@ -420,6 +455,17 @@ def merge_like_run_ensemble(trajs) -> dict:
         "se_final_grad": finals.std(axis=0, ddof=1) / math.sqrt(R),
         "samples_cum": trajs[0].samples_cum,
     }
+
+
+def assert_equal_results(got, want: dict) -> None:
+    assert {f.name for f in dataclasses.fields(got)} == want.keys()
+    for name, value in want.items():
+        assert np.array_equal(getattr(got, name), value), name
+
+
+def log_seed(path, seed) -> None:
+    with open(path, "a") as f:
+        f.write(f"{seed}\n")
 
 
 class TestEnsemble:
@@ -449,42 +495,41 @@ class TestEnsemble:
 
     def test_pooled_run_matches_per_seed_runs(self, monkeypatch):
         gp = five_node_pair()
-        obj = quad_objective(D=engine._POOL_MIN_D)
-        seeds = [3, 8, 21]
-        built = spy_pools(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        obj = quad_objective()
+        seeds = [3, 8, 21, 5, 13]
+        forks = spy_forks(monkeypatch)
+        pool_on(monkeypatch)
         pooled = run_ensemble(gp, s2(), obj, K=6, seeds=seeds)
-        assert built == [2]
-        merged = merge_like_run_ensemble([run(gp, s2(), obj, K=6, seed=s) for s in seeds])
-        for name, want in merged.items():
-            assert np.array_equal(getattr(pooled, name), want), name
+        assert forks == [[[3, 8], [21, 5, 13]]]  # contiguous blocks, in seed order
+        assert_equal_results(pooled, merge_like_run_ensemble([run(gp, s2(), obj, K=6, seed=s) for s in seeds]))
 
-    def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch):
-        # Eight workers switching every microsecond share the graph pair (its
-        # lazily cached sums too), the objective and the spectral constants.
+    def test_more_workers_than_cores(self, monkeypatch):
+        # Four workers, whatever the host has, share the inputs copy-on-write.
         gp = five_node_pair()
-        obj = quad_objective(D=engine._POOL_MIN_D)
-        seeds = range(8)
-        built = spy_pools(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = run_ensemble(gp, s2(), obj, K=4, seeds=seeds)
-        finally:
-            sys.setswitchinterval(interval)
-        assert built == [8]
-        merged = merge_like_run_ensemble([run(five_node_pair(), s2(), obj, K=4, seed=s) for s in seeds])
-        for name, want in merged.items():
-            assert np.array_equal(getattr(pooled, name), want), name
+        obj = quad_objective()
+        forks = spy_forks(monkeypatch)
+        pool_on(monkeypatch, cores=4)
+        pooled = run_ensemble(gp, s2(), obj, K=4, seeds=range(6))
+        assert forks == [[[0], [1, 2], [3], [4, 5]]]
+        assert_equal_results(pooled, merge_like_run_ensemble([run(gp, s2(), obj, K=4, seed=s) for s in range(6)]))
+
+    def test_benchmark_sized_ensemble_builds_a_pool(self, monkeypatch):
+        # The shortest full horizon of the ensemble_small benchmark, 20 seeds x
+        # K=25 at n=5, d=10, D=200, is estimated above the pool's threshold.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = spy_forks(monkeypatch)
+        run_ensemble(five_node_pair(), s2(), quad_objective(d=10, D=200), K=25, seeds=range(20))
+        assert forks == [[list(range(10)), list(range(10, 20))]]
 
     @pytest.mark.parametrize("one_core", ["affinity", "cpu_count"])
     def test_one_core_runs_serially_with_equal_outputs(self, monkeypatch, one_core):
         gp = five_node_pair()
-        obj = quad_objective(D=engine._POOL_MIN_D)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        obj = quad_objective()
+        forks = spy_forks(monkeypatch)
+        pool_on(monkeypatch)
         pooled = run_ensemble(gp, s2(), obj, K=6, seeds=range(3))
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+        assert len(forks) == 1
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
         if one_core == "affinity":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         else:  # platforms without an affinity call fall back to the CPU count
@@ -494,49 +539,105 @@ class TestEnsemble:
         for f in dataclasses.fields(serial):
             assert np.array_equal(getattr(serial, f.name), getattr(pooled, f.name)), f.name
 
-    def test_small_datasets_never_build_a_pool(self, monkeypatch):
-        gp = five_node_pair()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
-        run_ensemble(gp, s2(), quad_objective(D=engine._POOL_MIN_D - 1), K=3, seeds=range(4))
+    def test_no_fork_start_method_runs_serially(self, monkeypatch):
+        import multiprocessing
+
+        pool_on(monkeypatch)
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(4))
+
+    def test_another_live_thread_runs_serially(self, monkeypatch):
+        pool_on(monkeypatch)
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(4))
+        finally:
+            stop.set()
+            other.join()
+
+    def test_daemonic_process_runs_serially(self, monkeypatch):
+        import multiprocessing
+
+        pool_on(monkeypatch)
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(4))
 
     def test_one_seed_never_builds_a_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
-        run_ensemble(five_node_pair(), s2(), quad_objective(D=engine._POOL_MIN_D), K=3, seeds=[4])
+        pool_on(monkeypatch)
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
+        run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=[4])
+
+    def test_self_test_shapes_never_build_a_pool(self, monkeypatch):
+        # The benchmark self-test pins traced call counts, which calls made in
+        # forked workers would miss: 3 seeds x K 5 and 10 at n=5, d=10, D=200,
+        # and one seed at D=5e4.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
+        gp = five_node_pair()
+        for K in (5, 10):
+            run_ensemble(gp, s2(), quad_objective(d=10, D=200), K=K, seeds=range(3))
+        run_ensemble(gp, s2(), quad_objective(d=10, D=50_000), K=8, seeds=[1])
 
     def test_diverging_pooled_ensemble_raises_the_first_seeds_error(self, monkeypatch):
         gp = five_node_pair()
-        obj = quad_objective(D=engine._POOL_MIN_D)
+        obj = quad_objective()
         bad = s2(gamma=900.0)
-        built = spy_pools(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = spy_forks(monkeypatch)
+        pool_on(monkeypatch)
         with pytest.raises(DivergenceError) as serial:
             run(gp, bad, obj, K=200, seed=10)
         with pytest.raises(DivergenceError) as pooled:
             run_ensemble(gp, bad, obj, K=200, seeds=range(10, 16))
-        assert built == [2]
+        assert forks == [[[10, 11, 12], [13, 14, 15]]]
+        assert pooled.value.seed == 10
+        assert [getattr(pooled.value, a) for a in DIVERGENCE_FIELDS] == [
+            getattr(serial.value, a) for a in DIVERGENCE_FIELDS
+        ]
         assert str(pooled.value) == str(serial.value)
 
-    def test_first_failure_cancels_queued_seeds(self, monkeypatch):
-        # Seed 1 fails first; seed 0, already running, fails later.  The
-        # queued seeds are cancelled, and seed 0's error is raised, as the
-        # serial loop raises it.
-        started = []
+    def test_first_failure_cancels_queued_seeds(self, monkeypatch, tmp_path):
+        # Each block stops at its first failure: seeds 2-4 and 8-9 never start.
+        started = tmp_path / "started"
 
         def fake_run(gp, scheme, obj, K, seed, **kw):
-            started.append(seed)
-            if seed != 1:
-                threading.Event().wait(0.05)  # a slow seed that releases the GIL
-            if seed in (0, 1):
-                raise DivergenceError(f"seed {seed} diverged")
+            log_seed(started, seed)
+            if seed in (1, 7):
+                raise DivergenceError("state", 1, 0, math.inf, seed)
 
         monkeypatch.setattr(engine, "run", fake_run)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        obj = quad_objective(D=engine._POOL_MIN_D)
-        with pytest.raises(DivergenceError, match="seed 0"):
-            run_ensemble(five_node_pair(), s2(), obj, K=3, seeds=range(20))
-        assert len(started) < 20
+        pool_on(monkeypatch)
+        with pytest.raises(DivergenceError) as caught:
+            run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(10))
+        assert caught.value.seed == 1
+        assert sorted(map(int, started.read_text().split())) == [0, 1, 5, 6, 7]
+
+    def test_later_block_failing_first_raises_the_lowest_seeds_error(self, monkeypatch, tmp_path):
+        # Seed 4 (second block) fails at once; seed 2 (first block) fails later.
+        # Seed 2's error is raised, as the serial loop raises it.
+        failed = tmp_path / "failed"
+
+        def fake_run(gp, scheme, obj, K, seed, **kw):
+            if seed == 2:
+                threading.Event().wait(0.3)
+            if seed in (2, 4):
+                log_seed(failed, seed)
+                raise DivergenceError("tracking", 5, seed % 5, 2e12, seed)
+
+        monkeypatch.setattr(engine, "run", fake_run)
+        pool_on(monkeypatch)
+        with pytest.raises(DivergenceError) as caught:
+            run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(6))
+        assert failed.read_text().split() == ["4", "2"]
+        assert [getattr(caught.value, a) for a in DIVERGENCE_FIELDS] == ["tracking", 5, 2, 2e12, 2]
+
+    def test_dead_worker_is_reported(self):
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            engine._run_forked(lambda block: os._exit(3), [[0], [1]])
 
     def test_final_error_decreases_across_horizons(self):
         # longer geometric-schedule runs end closer to stationarity

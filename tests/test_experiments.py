@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from dpgt import configio
+from dpgt import configio, engine
 from dpgt.experiments import (
     ExperimentConfig,
     FitError,
@@ -178,6 +179,27 @@ class TestRunExperiment:
         for name in first:
             assert first[name] == second[name]
         assert summary1["horizons"] == summary2["horizons"]
+
+    def test_pooled_and_serial_bundles_are_byte_identical(self, experiment_dir, monkeypatch):
+        config = ExperimentConfig.from_file(experiment_dir / "config.json")
+        out = experiment_dir / "out"
+        forks = []
+        fork = engine._run_forked
+        monkeypatch.setattr(engine, "_run_forked", lambda fn, blocks: forks.append(len(blocks)) or fork(fn, blocks))
+        monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)  # pool every horizon of this small config
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def bundle() -> dict:
+            run_experiment(config)
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        first = bundle()
+        second = bundle()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = bundle()
+        assert forks == [2] * 6  # three horizons, pooled twice, then serial
+        assert sorted(first) == ["summary.json", "trace_K0.csv", "trace_K30.csv", "trace_K60.csv"]
+        assert first == second == serial
 
     def test_csv_shape_and_finiteness(self, experiment_dir):
         config = ExperimentConfig.from_file(experiment_dir / "config.json")
