@@ -28,7 +28,7 @@ from .objectives import (
     generate_trig_datasets,
 )
 from .privacy import epsilon, sensitivity_trace
-from .recursion import ObjectiveConstants, build_model,ContractionReport, contraction_check, dominance_check
+from .recursion import ObjectiveConstants, build_model, contraction_check, dominance_check
 from .schemes import S1Params, validate_s1, validate_s2
 
 
@@ -61,12 +61,8 @@ def _cmd_analyze_graph(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.kind == "quadratic":
-        datasets = generate_quadratic_datasets(args.agents, args.size, args.seed)
-    elif args.kind == "trig":
-        datasets = generate_trig_datasets(args.agents, args.size, args.seed)
-    else:
-        raise SystemExit(f"unknown kind {args.kind}")
+    generate = generate_quadratic_datasets if args.kind == "quadratic" else generate_trig_datasets
+    datasets = generate(args.agents, args.size, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -150,7 +146,7 @@ def _cmd_bound_check(args) -> int:
     K = max(config.horizons)
     seeds = [config.seed + r for r in range(args.runs)] if args.runs else config.seed_list()
     model = build_model(sc, scheme, ObjectiveConstants.of(obj), K, obj.dim)
-    contraction: ContractionReport = contraction_check(model)
+    contraction = contraction_check(model)
     ens = run_ensemble(gp, scheme, obj, K, seeds, sc=sc)
     report = dominance_check(model, ens.mean_v, ens.se_v, ens.n_runs)
     _print_json(

@@ -50,13 +50,11 @@ from .schemes import Rates, SchemeParams, rates_at
 
 __all__ = [
     "EngineState",
-    "IterationRecord",
     "Trajectory",
     "EnsembleResult",
     "ConfigError",
     "DivergenceError",
     "keyed_generator",
-    "laplace_sample",
     "laplace_vector",
     "sample_indices",
     "noise",
@@ -169,13 +167,6 @@ def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Gener
     key[1] = (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
     bitgen.state = state
     return gen
-
-
-def laplace_sample(scale: float, rng: np.random.Generator) -> float:
-    """Single draw with density exp(-|t|/scale) / (2 scale); mean 0, variance 2 scale^2."""
-    if scale <= 0:
-        raise ValueError("Laplace scale must be positive")
-    return float(rng.laplace(0.0, scale))
 
 
 def laplace_vector(seed: int, agent: int, k: int, role: int, d: int, scale: float) -> np.ndarray:
@@ -354,43 +345,37 @@ def compact_step(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    consensus_x: float
-    consensus_y: float
-    grad_norm_sq: np.ndarray  # (n,)
-    gap: float
-    samples_cum: int
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Post-step records for k = 1..K+1 plus the initial-state record.
+    """Metrics of one run: ``v`` for k = 0..K+1, the other series after each step.
 
-    ``gap`` is measured at the v1-weighted network average, the same point the
-    drift analysis tracks.
+    Row k of ``v`` is (consensus_x, consensus_y, gap) at iteration k, row 0
+    being the initial state.  ``gap`` is measured at the v1-weighted network
+    average, the same point the drift analysis tracks.
     """
 
     K: int
     ks: np.ndarray  # (K+1,) = 1..K+1
-    consensus_x: np.ndarray
-    consensus_y: np.ndarray
+    v: np.ndarray  # (K+2, 3)
     grad_norm_sq: np.ndarray  # (K+1, n)
-    gap: np.ndarray
     samples_cum: np.ndarray  # (K+1,) per-agent cumulative draw count
-    initial: IterationRecord
     final_x: np.ndarray  # (n, d)
     seed: int
 
     @property
+    def consensus_x(self) -> np.ndarray:
+        return self.v[1:, 0]
+
+    @property
+    def consensus_y(self) -> np.ndarray:
+        return self.v[1:, 1]
+
+    @property
+    def gap(self) -> np.ndarray:
+        return self.v[1:, 2]
+
+    @property
     def final_grad_norm_sq(self) -> np.ndarray:
         return self.grad_norm_sq[-1]
-
-    def v_series(self) -> np.ndarray:
-        """(K+2, 3) array of (consensus_x, consensus_y, gap) for k = 0..K+1."""
-        head = np.array([[self.initial.consensus_x, self.initial.consensus_y, self.initial.gap]])
-        body = np.column_stack([self.consensus_x, self.consensus_y, self.gap])
-        return np.vstack([head, body])
 
 
 def _metrics(
@@ -399,7 +384,6 @@ def _metrics(
     sc: SpectralConstants,
     obj: Objective,
     f_star: float,
-    avg_weights: np.ndarray,
 ) -> tuple[float, float, np.ndarray, float]:
     # np.sqrt(w.dot(w)) is np.linalg.norm's arithmetic for a flat vector.
     wx = (sc.W1 @ x).ravel()
@@ -407,7 +391,7 @@ def _metrics(
     cx = float(np.sqrt(wx.dot(wx)) ** 2)
     cy = float(np.sqrt(wy.dot(wy)) ** 2)
     grads = (obj.global_gradient_rows(x) ** 2).sum(axis=1)
-    x_bar = (avg_weights @ x) / sc.n
+    x_bar = (sc.v1 @ x) / sc.n
     gap = obj.global_value(x_bar) - f_star
     return cx, cy, grads, gap
 
@@ -421,20 +405,14 @@ def run(
     x0: np.ndarray | None = None,
     sc: SpectralConstants | None = None,
     noise_off: bool = False,
-    gap_weighting: str = "weighted",
 ) -> Trajectory:
     """Execute K+1 update cycles from the initialization and record metrics.
 
     ``noise_off`` zeroes every perturbation while keeping all other streams
     (initial states, index draws) identical; this is the baseline mode.
-    ``gap_weighting`` selects the network average behind the recorded gap:
-    "weighted" (the v1-weighted mean the drift analysis tracks, default) or
-    "uniform".
     """
     if K < 0:
         raise ConfigError("K must be nonnegative")
-    if gap_weighting not in ("weighted", "uniform"):
-        raise ConfigError("gap_weighting must be 'weighted' or 'uniform'")
     rates = rates_at(scheme, K)
     if noise_off:
         rates = replace(rates, noise_off=True)
@@ -446,40 +424,26 @@ def run(
     if sc is None:
         sc = spectral_constants(gp)
     f_star = obj.F_star if obj.F_star is not None else 0.0
-    m = rates.m_int
-    avg_w = sc.v1 if gap_weighting == "weighted" else np.ones(gp.n)
 
     state = initialize(gp, rates, obj, seed, x0)
-    cx, cy, grads, gap = _metrics(state.x, state.y, sc, obj, f_star, avg_w)
-    initial = IterationRecord(0, cx, cy, grads, gap, m)
-
-    n_rec = K + 1
-    consensus_x = np.empty(n_rec)
-    consensus_y = np.empty(n_rec)
-    grad_norm_sq = np.empty((n_rec, gp.n))
-    gap_arr = np.empty(n_rec)
-    samples = np.empty(n_rec, dtype=np.int64)
+    v = np.empty((K + 2, 3))
+    grad_norm_sq = np.empty((K + 1, gp.n))
+    cx, cy, _, gap = _metrics(state.x, state.y, sc, obj, f_star)
+    v[0] = cx, cy, gap
     for k in range(K + 1):
         try:
             state = step(state, gp, rates, obj)
         except DivergenceError as err:
             err.seed = seed
             raise
-        cx, cy, grads, gap = _metrics(state.x, state.y, sc, obj, f_star, avg_w)
-        consensus_x[k] = cx
-        consensus_y[k] = cy
-        grad_norm_sq[k] = grads
-        gap_arr[k] = gap
-        samples[k] = m * (k + 2)  # initialization batch plus k+1 step batches
+        cx, cy, grad_norm_sq[k], gap = _metrics(state.x, state.y, sc, obj, f_star)
+        v[k + 1] = cx, cy, gap
     return Trajectory(
         K=K,
         ks=np.arange(1, K + 2),
-        consensus_x=consensus_x,
-        consensus_y=consensus_y,
+        v=v,
         grad_norm_sq=grad_norm_sq,
-        gap=gap_arr,
-        samples_cum=samples,
-        initial=initial,
+        samples_cum=rates.m_int * np.arange(2, K + 3, dtype=np.int64),  # the first batch plus k+1 more
         final_x=state.x,
         seed=seed,
     )
@@ -585,7 +549,6 @@ def run_ensemble(
     x0: np.ndarray | None = None,
     sc: SpectralConstants | None = None,
     noise_off: bool = False,
-    gap_weighting: str = "weighted",
 ) -> EnsembleResult:
     """Independent runs over a seed list, merged in seed order.
 
@@ -610,10 +573,7 @@ def run_ensemble(
         done = []
         for s in block:
             try:
-                done.append(run(
-                    gp, scheme, obj, K, s,
-                    x0=x0, sc=sc, noise_off=noise_off, gap_weighting=gap_weighting,
-                ))
+                done.append(run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off))
             except Exception as err:
                 return done, err
         return done, None
@@ -632,7 +592,7 @@ def run_ensemble(
 
     R = len(trajectories)
     grad = np.stack([t.grad_norm_sq for t in trajectories])  # (R, K+1, n)
-    vs = np.stack([t.v_series() for t in trajectories])  # (R, K+2, 3)
+    vs = np.stack([t.v for t in trajectories])  # (R, K+2, 3)
     finals = np.stack([t.final_grad_norm_sq for t in trajectories])  # (R, n)
     ddof = 1 if R > 1 else 0
     se_scale = math.sqrt(R)

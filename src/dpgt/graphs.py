@@ -317,6 +317,15 @@ def _scaled_nonneg(w: np.ndarray, n: int, which: str) -> np.ndarray:
     return np.where((v > -1e-12) & (v < 0.0), 0.0, v)
 
 
+def _sum_cap(sums: np.ndarray) -> float:
+    """Step cap from weight sums: the least 1 / sum over the positive sums, inf if none.
+
+    Below it, every mixing coefficient 1 - step * sum stays positive.
+    """
+    pos = sums[sums > 0]
+    return float((1.0 / pos).min()) if pos.size else np.inf
+
+
 def spectral_constants(gp: GraphPair) -> SpectralConstants:
     """Caps, contraction rates, weighting vectors and projectors for one pair.
 
@@ -337,10 +346,6 @@ def spectral_constants(gp: GraphPair) -> SpectralConstants:
     tail1 = _zero_split(eigs_L1, "L1")
     tail2 = _zero_split(eigs_L2, "L2")
 
-    def sum_cap(sums: np.ndarray) -> float:
-        pos = sums[sums > 0]
-        return float((1.0 / pos).min()) if pos.size else np.inf
-
     def eig_cap(tail: np.ndarray) -> float:
         if not tail.size:
             return np.inf
@@ -352,8 +357,8 @@ def spectral_constants(gp: GraphPair) -> SpectralConstants:
         mods2 = np.abs(tail) ** 2
         return float(((2.0 + mods2) * tail.real / (2.0 + 2.0 * mods2)).min())
 
-    alpha_cap = min(sum_cap(gp.row_sums_R), eig_cap(tail1))
-    beta_cap = min(sum_cap(gp.col_sums_C), eig_cap(tail2))
+    alpha_cap = min(_sum_cap(gp.row_sums_R), eig_cap(tail1))
+    beta_cap = min(_sum_cap(gp.col_sums_C), eig_cap(tail2))
     r1 = contraction_rate(tail1)
     r2 = contraction_rate(tail2)
 

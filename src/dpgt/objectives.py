@@ -15,6 +15,12 @@ gradient-noise bound, and a quadratic-growth constant for F):
   trig (d=1): loss(x, xi) = x^2 + (3 + xi) * sin(x)^2 + 2 * xi * cos(x),
               scalar xi drawn Laplace with density exp(-|t|/b)/(2b), b = 1/2
 
+Each family is one evaluator class (``_Quadratic``, ``_Trig``, ``_Logistic``)
+with ``loss``, ``grad_batch``, ``global_value`` and ``global_gradient_rows``;
+``Objective`` wraps one with the datasets and the declared constants.  Both
+closed-form losses are affine in the sample, so their classes also give the
+d = 1 mean sampled gradient from the samples' mean (``mean_gradient_d1``).
+
 The declared constants are treated as claims; ``verify_constants`` estimates
 each one by brute force and reports pass/fail per constant.  A small logistic
 regression objective is included as a demo with numerically estimated
@@ -24,8 +30,7 @@ constants and no quadratic-growth claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
@@ -89,7 +94,7 @@ def make_dataset(agent: int, samples) -> Dataset:
 
 @dataclass(frozen=True)
 class Objective:
-    """Immutable bundle of evaluators, datasets, and declared constants.
+    """Immutable bundle of a family evaluator, datasets, and declared constants.
 
     ``grad_batch(x, xis)`` evaluates the per-sample gradient for a whole
     (m, r) block of samples at once and is the hot path for the engine.
@@ -105,12 +110,7 @@ class Objective:
     sigma_g: float
     mu: float
     F_star: float | None
-    loss_fn: Callable[[np.ndarray, np.ndarray], float]
-    grad_batch_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    global_value_fn: Callable[[np.ndarray], float]
-    global_grad_fn: Callable[[np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict, compare=False)
-    global_grad_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    family: _Quadratic | _Trig | _Logistic
 
     def __post_init__(self):
         if self.L1_smooth <= 0:
@@ -122,14 +122,14 @@ class Objective:
 
     # -- pointwise oracle ---------------------------------------------------
     def loss(self, x, xi) -> float:
-        return float(self.loss_fn(np.asarray(x, float), np.asarray(xi, float)))
+        return float(self.family.loss(np.asarray(x, float), np.asarray(xi, float)))
 
     def grad(self, x, xi) -> np.ndarray:
         xi = np.atleast_1d(np.asarray(xi, float))
-        return self.grad_batch_fn(np.asarray(x, float), xi[None, :])[0]
+        return self.family.grad_batch(np.asarray(x, float), xi[None, :])[0]
 
     def grad_batch(self, x, xis) -> np.ndarray:
-        return self.grad_batch_fn(np.asarray(x, float), np.asarray(xis, float))
+        return self.family.grad_batch(np.asarray(x, float), np.asarray(xis, float))
 
     # -- empirical-risk quantities -------------------------------------------
     def local_gradient(self, agent: int, x) -> np.ndarray:
@@ -137,17 +137,14 @@ class Objective:
         return self.grad_batch(x, ds.samples).mean(axis=0)
 
     def global_value(self, x) -> float:
-        return float(self.global_value_fn(np.asarray(x, float)))
+        return float(self.family.global_value(np.asarray(x, float)))
 
     def global_gradient(self, x) -> np.ndarray:
-        return self.global_grad_fn(np.asarray(x, float))
+        return self.global_gradient_rows(np.asarray(x, float)[None])[0]
 
     def global_gradient_rows(self, xs) -> np.ndarray:
-        """Network gradient at each row of xs; vectorized where available."""
-        xs = np.asarray(xs, float)
-        if self.global_grad_rows_fn is not None:
-            return self.global_grad_rows_fn(xs)
-        return np.stack([self.global_grad_fn(x) for x in xs])
+        """Network gradient at each row of xs."""
+        return self.family.global_gradient_rows(np.asarray(xs, float))
 
     def min_dataset_size(self) -> int:
         return min(ds.size for ds in self.datasets)
@@ -207,11 +204,120 @@ def generate_logistic_datasets(n_agents: int, D: int, dim: int, seed: int) -> li
 
 def _norm_coupling_grad(x: np.ndarray) -> np.ndarray:
     # Gradient of ||x|| / (1 + ||x||); the kink at the origin is resolved as 0.
-    # np.sqrt(x.dot(x)) is np.linalg.norm's arithmetic for a 1-D x.
-    nx = np.sqrt(x.dot(x))
+    nx = np.sqrt(x.dot(x))  # np.linalg.norm's arithmetic for a 1-D x
     if nx == 0.0:
         return np.zeros_like(x)
     return x / (nx * (1.0 + nx) ** 2)
+
+
+def _sample_mean(datasets) -> float:
+    """Mean over agents of each dataset's sample mean."""
+    return float(np.array([ds.samples.mean() for ds in datasets]).mean())
+
+
+class _Quadratic:
+    """loss(x, xi) = ||A x - b||^2 / (2 n) + xi * ||x|| / (1 + ||x||).
+
+    Affine in the sample, so F is the loss at the mean sample ``mean_all``.
+    """
+
+    def __init__(self, A: np.ndarray, dvec: np.ndarray, n: int, mean_all: float):
+        self.A, self.dvec, self.n, self.mean_all = A, dvec, n, mean_all
+        self.gram = A.T @ A
+        self.At_dvec = (A.T @ dvec)[None, :]
+
+    def loss(self, x, xi) -> float:
+        res = self.A @ x - self.dvec
+        nx = np.sqrt(x.dot(x))  # np.linalg.norm's arithmetic for a 1-D x
+        xi0 = float(np.asarray(xi).reshape(-1)[0])
+        return 0.5 * (res @ res) / self.n + xi0 * nx / (1.0 + nx)
+
+    def grad_batch(self, x, xis) -> np.ndarray:
+        base = self.A.T @ (self.A @ x - self.dvec) / self.n
+        # np.outer(xis[:, 0], coupling), written as the broadcast product it is.
+        return base[None, :] + xis[:, :1] * _norm_coupling_grad(x)[None, :]
+
+    def global_value(self, x) -> float:
+        return self.loss(x, self.mean_all)
+
+    def global_gradient_rows(self, xs) -> np.ndarray:
+        base = (xs @ self.gram - self.At_dvec) / self.n
+        # np.linalg.norm(xs, axis=1, keepdims=True), by the same reduction.
+        norms = np.sqrt(np.add.reduce(xs * xs, axis=1, keepdims=True))
+        positive = norms > 0
+        if positive.all():
+            coupling = xs / (norms * (1.0 + norms) ** 2)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coupling = np.where(positive, xs / (norms * (1.0 + norms) ** 2), 0.0)
+        return base + self.mean_all * coupling
+
+    def mean_gradient_d1(self, x: np.ndarray, xibar: np.ndarray) -> np.ndarray:
+        """Elementwise mean sampled gradient for d = 1, from the samples' mean xibar."""
+        q = float(self.gram[0, 0])
+        c0 = float(self.At_dvec[0, 0])
+        coupling = np.where(x == 0.0, 0.0, np.sign(x) / (1.0 + np.abs(x)) ** 2)
+        return (q * x - c0) / self.n + xibar * coupling
+
+
+def _trig_grad(x0: float, xi):
+    """d/dx of the trig loss at scalar x0, for a scalar or an array of samples xi."""
+    return 2.0 * x0 + (3.0 + xi) * math.sin(2.0 * x0) - 2.0 * xi * math.sin(x0)
+
+
+class _Trig:
+    """loss(x, xi) = x^2 + (3 + xi) sin(x)^2 + 2 xi cos(x) for scalar x and xi.
+
+    Affine in the sample, so F is the loss at the mean sample ``mean_all``.
+    """
+
+    def __init__(self, mean_all: float):
+        self.mean_all = mean_all
+
+    def loss(self, x, xi) -> float:
+        x0 = float(np.asarray(x).reshape(-1)[0])
+        xi0 = float(np.asarray(xi).reshape(-1)[0])
+        return x0 * x0 + (3.0 + xi0) * math.sin(x0) ** 2 + 2.0 * xi0 * math.cos(x0)
+
+    def grad_batch(self, x, xis) -> np.ndarray:
+        return _trig_grad(float(x.reshape(())), xis[:, 0])[:, None]
+
+    def global_value(self, x) -> float:
+        return self.loss(x, self.mean_all)
+
+    def global_gradient_rows(self, xs) -> np.ndarray:
+        # Row by row with libm's sin, the arithmetic of grad_batch.
+        return np.array([[_trig_grad(float(x0), self.mean_all)] for x0 in xs[:, 0]])
+
+    def mean_gradient_d1(self, x: np.ndarray, xibar: np.ndarray) -> np.ndarray:
+        """Elementwise mean sampled gradient, from the samples' mean xibar."""
+        return 2.0 * x + (3.0 + xibar) * np.sin(2.0 * x) - 2.0 * xibar * np.sin(x)
+
+
+class _Logistic:
+    """Logistic loss with a ridge term; each sample is (features..., label)."""
+
+    def __init__(self, datasets, ridge: float):
+        self.samples = [ds.samples for ds in datasets]
+        self.ridge = ridge
+
+    def loss(self, x, xi) -> float:
+        margin = float(xi[-1]) * float(xi[:-1] @ x)
+        return float(np.logaddexp(0.0, -margin) + 0.5 * self.ridge * (x @ x))
+
+    def grad_batch(self, x, xis) -> np.ndarray:
+        feats, labels = xis[:, :-1], xis[:, -1]
+        margins = labels * (feats @ x)
+        coef = -labels / (1.0 + np.exp(margins))
+        return coef[:, None] * feats + self.ridge * x[None, :]
+
+    def global_value(self, x) -> float:
+        return float(np.mean([np.mean([self.loss(x, xi) for xi in s]) for s in self.samples]))
+
+    def global_gradient_rows(self, xs) -> np.ndarray:
+        return np.array(
+            [np.mean([self.grad_batch(x, s).mean(axis=0) for s in self.samples], axis=0) for x in xs]
+        )
 
 
 def make_quadratic(A, dvec, n_agents: int, datasets) -> Objective:
@@ -231,57 +337,19 @@ def make_quadratic(A, dvec, n_agents: int, datasets) -> Objective:
     datasets = tuple(datasets)
     if any(ds.sample_dim != 1 for ds in datasets):
         raise DatasetError("quadratic objective expects scalar samples")
-    gram = A.T @ A
-    eigs = np.linalg.eigvalsh(gram)
+    n = n_agents
+    fam = _Quadratic(A, dvec, n, _sample_mean(datasets[:n]))
+    eigs = np.linalg.eigvalsh(fam.gram)
     theta = float(eigs.min())
     if theta <= 1e-12 * max(1.0, float(eigs.max())):
         raise RankDeficientError("A does not have full column rank")
     rho_A = float(max(np.abs(np.linalg.eigvals(A)))) if m == d else math.sqrt(float(eigs.max()))
 
-    n = n_agents
-    sample_means = np.array([ds.samples.mean() for ds in datasets[:n]])
-    mean_all = float(sample_means.mean())
-
-    def loss_fn(x, xi):
-        res = A @ x - dvec
-        nx = np.linalg.norm(x)
-        xi0 = float(np.asarray(xi).reshape(-1)[0])
-        return 0.5 * (res @ res) / n + xi0 * nx / (1.0 + nx)
-
-    def smooth_grad(x):
-        return A.T @ (A @ x - dvec) / n
-
-    def grad_batch_fn(x, xis):
-        base = smooth_grad(x)
-        coupling = _norm_coupling_grad(x)
-        # np.outer(xis[:, 0], coupling), written as the broadcast product it is.
-        return base[None, :] + xis[:, :1] * coupling[None, :]
-
-    def global_value_fn(x):
-        res = A @ x - dvec
-        nx = np.sqrt(x.dot(x))
-        return 0.5 * (res @ res) / n + mean_all * nx / (1.0 + nx)
-
-    def global_grad_fn(x):
-        return smooth_grad(x) + mean_all * _norm_coupling_grad(x)
-
-    At_dvec = (A.T @ dvec)[None, :]
-
-    def global_grad_rows_fn(xs):
-        base = (xs @ gram - At_dvec) / n
-        # np.linalg.norm(xs, axis=1, keepdims=True), by the same reduction.
-        norms = np.sqrt(np.add.reduce(xs * xs, axis=1, keepdims=True))
-        positive = norms > 0
-        if positive.all():
-            coupling = xs / (norms * (1.0 + norms) ** 2)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coupling = np.where(positive, xs / (norms * (1.0 + norms) ** 2), 0.0)
-        return base + mean_all * coupling
-
-    x_ls = np.linalg.solve(gram, A.T @ dvec)
-    opt = scipy.optimize.minimize(global_value_fn, x_ls, jac=global_grad_fn, tol=1e-14)
-    f_star = float(min(global_value_fn(x_ls), opt.fun))
+    x_ls = np.linalg.solve(fam.gram, A.T @ dvec)
+    opt = scipy.optimize.minimize(
+        fam.global_value, x_ls, jac=lambda x: fam.global_gradient_rows(x[None])[0], tol=1e-14
+    )
+    f_star = float(min(fam.global_value(x_ls), opt.fun))
 
     return Objective(
         kind="quadratic",
@@ -294,12 +362,7 @@ def make_quadratic(A, dvec, n_agents: int, datasets) -> Objective:
         sigma_g=2.0,
         mu=2.0 * theta**2,
         F_star=f_star,
-        loss_fn=loss_fn,
-        grad_batch_fn=grad_batch_fn,
-        global_value_fn=global_value_fn,
-        global_grad_fn=global_grad_fn,
-        meta={"A": A, "dvec": dvec},
-        global_grad_rows_fn=global_grad_rows_fn,
+        family=fam,
     )
 
 
@@ -314,39 +377,19 @@ def make_trig(n_agents: int, datasets) -> Objective:
     if any(ds.sample_dim != 1 for ds in datasets):
         raise DatasetError("trig objective expects scalar samples")
     n = n_agents
-    sample_means = np.array([ds.samples.mean() for ds in datasets[:n]])
-    mean_all = float(sample_means.mean())
-
-    def loss_fn(x, xi):
-        x0 = float(np.asarray(x).reshape(-1)[0])
-        xi0 = float(np.asarray(xi).reshape(-1)[0])
-        return x0 * x0 + (3.0 + xi0) * math.sin(x0) ** 2 + 2.0 * xi0 * math.cos(x0)
-
-    def grad_batch_fn(x, xis):
-        x0 = float(np.asarray(x).reshape(()))
-        vals = 2.0 * x0 + (3.0 + xis[:, 0]) * math.sin(2.0 * x0) - 2.0 * xis[:, 0] * math.sin(x0)
-        return vals[:, None]
-
-    def global_value_fn(x):
-        x0 = float(np.asarray(x).reshape(()))
-        return x0 * x0 + (3.0 + mean_all) * math.sin(x0) ** 2 + 2.0 * mean_all * math.cos(x0)
-
-    def global_grad_fn(x):
-        x0 = float(np.asarray(x).reshape(()))
-        return np.array([2.0 * x0 + (3.0 + mean_all) * math.sin(2.0 * x0) - 2.0 * mean_all * math.sin(x0)])
+    fam = _Trig(_sample_mean(datasets[:n]))
 
     grid = np.linspace(-3.0, 3.0, 601)
-    vals = [global_value_fn(np.array([g])) for g in grid]
+    vals = [fam.global_value(g) for g in grid]
     j = int(np.argmin(vals))
-    scalar_f = lambda t: global_value_fn(np.array([t]))
     try:
         lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
         res = scipy.optimize.minimize_scalar(
-            scalar_f, bracket=(lo, grid[j], hi), method="golden", options={"xtol": 1e-10}
+            fam.global_value, bracket=(lo, grid[j], hi), method="golden", options={"xtol": 1e-10}
         )
     except ValueError:  # degenerate bracket (flat or boundary grid minimum)
         res = scipy.optimize.minimize_scalar(
-            scalar_f, bounds=(grid[j] - 0.05, grid[j] + 0.05), method="bounded",
+            fam.global_value, bounds=(grid[j] - 0.05, grid[j] + 0.05), method="bounded",
             options={"xatol": 1e-10},
         )
     f_star = float(min(res.fun, vals[j]))
@@ -362,10 +405,7 @@ def make_trig(n_agents: int, datasets) -> Objective:
         sigma_g=2.5,
         mu=n / 32.0,
         F_star=f_star,
-        loss_fn=loss_fn,
-        grad_batch_fn=grad_batch_fn,
-        global_value_fn=global_value_fn,
-        global_grad_fn=global_grad_fn,
+        family=fam,
     )
 
 
@@ -376,38 +416,22 @@ def make_logistic(n_agents: int, datasets, ridge: float = 1e-2, seed: int = 0) -
     if d < 1:
         raise DatasetError("logistic samples must be (features..., label)")
     n = n_agents
-
-    def loss_fn(x, xi):
-        xi = np.asarray(xi, float)
-        margin = float(xi[-1]) * float(xi[:-1] @ x)
-        return float(np.logaddexp(0.0, -margin) + 0.5 * ridge * (x @ x))
-
-    def grad_batch_fn(x, xis):
-        feats, labels = xis[:, :-1], xis[:, -1]
-        margins = labels * (feats @ x)
-        coef = -labels / (1.0 + np.exp(margins))
-        return coef[:, None] * feats + ridge * x[None, :]
-
-    all_samples = np.vstack([ds.samples for ds in datasets[:n]])
-
-    def global_value_fn(x):
-        vals = [np.mean([loss_fn(x, xi) for xi in ds.samples]) for ds in datasets[:n]]
-        return float(np.mean(vals))
-
-    def global_grad_fn(x):
-        return np.mean([grad_batch_fn(x, ds.samples).mean(axis=0) for ds in datasets[:n]], axis=0)
+    fam = _Logistic(datasets[:n], ridge)
 
     # Curvature bound 0.25 * max ||f||^2 + ridge; noise bound from the pooled data.
+    all_samples = np.vstack(fam.samples)
     feat_norms2 = (all_samples[:, :-1] ** 2).sum(axis=1)
     L1 = 0.25 * float(feat_norms2.max()) + ridge
     rng = np.random.default_rng(seed)
     sig2 = 0.0
     for _ in range(8):
         x = rng.normal(0.0, 1.0, d)
-        for ds in datasets[:n]:
-            g = grad_batch_fn(x, ds.samples)
+        for s in fam.samples:
+            g = fam.grad_batch(x, s)
             sig2 = max(sig2, float(((g - g.mean(axis=0)) ** 2).sum(axis=1).mean()))
-    opt = scipy.optimize.minimize(global_value_fn, np.zeros(d), jac=global_grad_fn, tol=1e-12)
+    opt = scipy.optimize.minimize(
+        fam.global_value, np.zeros(d), jac=lambda x: fam.global_gradient_rows(x[None])[0], tol=1e-12
+    )
 
     return Objective(
         kind="logistic",
@@ -420,10 +444,7 @@ def make_logistic(n_agents: int, datasets, ridge: float = 1e-2, seed: int = 0) -
         sigma_g=math.sqrt(max(sig2, 1e-12)) * 1.1,
         mu=0.0,
         F_star=float(opt.fun),
-        loss_fn=loss_fn,
-        grad_batch_fn=grad_batch_fn,
-        global_value_fn=global_value_fn,
-        global_grad_fn=global_grad_fn,
+        family=fam,
     )
 
 

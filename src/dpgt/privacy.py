@@ -302,33 +302,6 @@ class MicroDPReport:
     passed: bool
 
 
-def _affine_grad_d1(obj: Objective):
-    """Vectorized scalar mean-gradient as g(x, mean xi) for the built-in kinds.
-
-    Both built-in losses have gradients affine in the sample, so the averaged
-    sampled gradient depends on the draw only through the sample mean.
-    """
-    if obj.kind == "quadratic":
-        A = obj.meta["A"]
-        dvec = obj.meta["dvec"]
-        q = float((A.T @ A)[0, 0])
-        c0 = float((A.T @ dvec)[0])
-        n = obj.n_agents
-
-        def g(x, xibar):
-            coupling = np.where(x == 0.0, 0.0, np.sign(x) / (1.0 + np.abs(x)) ** 2)
-            return (q * x - c0) / n + xibar * coupling
-
-        return g
-    if obj.kind == "trig":
-
-        def g(x, xibar):
-            return 2.0 * x + (3.0 + xibar) * np.sin(2.0 * x) - 2.0 * xibar * np.sin(x)
-
-        return g
-    raise ValueError(f"no vectorized scalar gradient for kind {obj.kind!r}")
-
-
 def _subset_means(rng: np.random.Generator, values: np.ndarray, m: int, trials: int) -> np.ndarray:
     """Mean of a uniform m-subset of ``values`` per trial (without replacement)."""
     D = values.shape[0]
@@ -353,9 +326,10 @@ def micro_dp_check(
 ) -> MicroDPReport:
     """Monte-Carlo output-distribution ratio test on a tiny instance.
 
-    Guards: K <= 2, scalar states, at most two agents.  The mechanism is run
-    ``trials`` times per dataset collection; over a family of axis-aligned
-    boxes on the differing agent's published sequence, the empirical ratio
+    Guards: K <= 2, scalar states, at most two agents, and a loss affine in
+    the sample (quadratic or trig).  The mechanism is run ``trials`` times
+    per dataset collection; over a family of axis-aligned boxes on the
+    differing agent's published sequence, the empirical ratio
     P(out in box | datasets) / P(out in box | datasets_alt) must not exceed
     exp(eps) beyond three binomial standard errors (both directions checked).
     """
@@ -367,6 +341,9 @@ def micro_dp_check(
         raise ValueError("likelihood-ratio check is limited to n <= 2")
     if trials < 10**4:
         raise ValueError("need at least 1e4 trials for stable counts")
+    grad = getattr(obj.family, "mean_gradient_d1", None)  # as g(x, mean xi), vectorized
+    if grad is None:
+        raise ValueError(f"the {obj.kind} loss is not affine in the sample")
 
     agent = None
     for i in range(gp.n):
@@ -386,7 +363,6 @@ def micro_dp_check(
     rates = rates_at(scheme, K)
     m = rates.m_int
     n = gp.n
-    grad = _affine_grad_d1(obj)
     x0 = draw_x0(seed, n, 1)
 
     def simulate(side: int, sample_sets: list[Dataset]) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .graphs import GraphPair, SpectralConstants
+from .graphs import GraphPair, SpectralConstants, _sum_cap
 
 __all__ = [
     "S1Params",
@@ -411,13 +411,7 @@ def check_budget_finiteness(
         )
         derived.update({"tracking_exponent": e_y, "state_exponent": e_x})
         derived["tail_order"] = f"O(log(K) / K^{min(e_x, e_y):.4g})"
-        if gp is not None:
-            row = gp.row_sums_R
-            col = gp.col_sums_C
-            row_cap = float((1.0 / row[row > 0]).min()) if (row > 0).any() else math.inf
-            col_cap = float((1.0 / col[col > 0]).min()) if (col > 0).any() else math.inf
-            entries.append(_lt("a1 < min_i 1/row_sum_R", params.a1, row_cap))
-            entries.append(_lt("a2 < min_i 1/col_sum_C", params.a2, col_cap))
+        steps = ("a1", params.a1), ("a2", params.a2)
     else:
         entries.append(_lt("0 < min p_zeta", 0.0, min(params.p_zeta)))
         entries.append(_lt("max p_zeta < 1", max(params.p_zeta), 1.0))
@@ -430,11 +424,9 @@ def check_budget_finiteness(
         derived["tail_order"] = f"O(K * ({1.0 / base if base > 0.0 else math.inf:.6g})^K)"
         if base > 1.0:
             derived["decreasing_after"] = 1.0 / math.log(base)
-        if gp is not None:
-            row = gp.row_sums_R
-            col = gp.col_sums_C
-            row_cap = float((1.0 / row[row > 0]).min()) if (row > 0).any() else math.inf
-            col_cap = float((1.0 / col[col > 0]).min()) if (col > 0).any() else math.inf
-            entries.append(_lt("alpha < min_i 1/row_sum_R", params.alpha, row_cap))
-            entries.append(_lt("beta < min_i 1/col_sum_C", params.beta, col_cap))
+        steps = ("alpha", params.alpha), ("beta", params.beta)
+    if gp is not None:
+        (x_name, x_step), (y_name, y_step) = steps
+        entries.append(_lt(f"{x_name} < min_i 1/row_sum_R", x_step, _sum_cap(gp.row_sums_R)))
+        entries.append(_lt(f"{y_name} < min_i 1/col_sum_C", y_step, _sum_cap(gp.col_sums_C)))
     return ValidationReport(entries=tuple(entries), derived=derived)

@@ -34,20 +34,20 @@ def mean_sample(obj):
 
 
 def grad_batch_oracle(obj, x, xis):
-    A, dvec, n = obj.meta["A"], obj.meta["dvec"], obj.n_agents
+    A, dvec, n = obj.family.A, obj.family.dvec, obj.n_agents
     base = A.T @ (A @ x - dvec) / n
     return base[None, :] + np.outer(xis[:, 0], coupling_oracle(x))
 
 
 def global_value_oracle(obj, x):
-    A, dvec, n = obj.meta["A"], obj.meta["dvec"], obj.n_agents
+    A, dvec, n = obj.family.A, obj.family.dvec, obj.n_agents
     res = A @ x - dvec
     nx = np.linalg.norm(x)
     return float(0.5 * (res @ res) / n + mean_sample(obj) * nx / (1.0 + nx))
 
 
 def global_gradient_rows_oracle(obj, xs):
-    A, dvec, n = obj.meta["A"], obj.meta["dvec"], obj.n_agents
+    A, dvec, n = obj.family.A, obj.family.dvec, obj.n_agents
     base = (xs @ (A.T @ A) - (A.T @ dvec)[None, :]) / n
     norms = np.linalg.norm(xs, axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -61,11 +61,11 @@ def sampled_gradients_oracle(obj, x, idxs):
     )
 
 
-def metrics_oracle(x, y, sc, obj, f_star, avg_weights):
+def metrics_oracle(x, y, sc, obj, f_star):
     cx = float(np.linalg.norm(sc.W1 @ x) ** 2)
     cy = float(np.linalg.norm(sc.W2 @ y) ** 2)
     grads = (global_gradient_rows_oracle(obj, x) ** 2).sum(axis=1)
-    x_bar = (avg_weights @ x) / sc.n
+    x_bar = (sc.v1 @ x) / sc.n
     gap = global_value_oracle(obj, x_bar) - f_star
     return cx, cy, grads, gap
 
@@ -148,14 +148,13 @@ class TestEngineHotPath:
         assert same_bits(sampled_gradients(obj, obj.datasets, x, idxs), sampled_gradients_oracle(obj, x, idxs))
 
     @settings(max_examples=100, deadline=None)
-    @given(cases(), st.booleans())
-    def test_metrics(self, case, weighted):
+    @given(cases())
+    def test_metrics(self, case):
         seed, n, d, D, _, zero_rows = case
         obj, gp, x, y = instance(seed, n, d, D, zero_rows)
         sc = spectral_constants(gp)
-        avg_w = sc.v1 if weighted else np.ones(n)
-        got = _metrics(x, y, sc, obj, obj.F_star, avg_w)
-        want = metrics_oracle(x, y, sc, obj, obj.F_star, avg_w)
+        got = _metrics(x, y, sc, obj, obj.F_star)
+        want = metrics_oracle(x, y, sc, obj, obj.F_star)
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
     def test_full_batch_and_single_sample(self):

@@ -109,6 +109,56 @@ class TestTrig:
         assert min(vals) >= trig.F_star - 1e-9
 
 
+@pytest.fixture(scope="module", params=["quadratic", "trig", "logistic"])
+def family(request):
+    """One objective per family, with its dimension > 1 where the family allows."""
+    if request.param == "quadratic":
+        ds = generate_quadratic_datasets(3, 12, seed=4)
+        A = np.array([[1.0, 0.3], [0.0, 2.0], [0.5, 0.5]])
+        return make_quadratic(A, np.array([1.0, -1.0, 0.5]), 3, ds)
+    if request.param == "trig":
+        return make_trig(3, generate_trig_datasets(3, 12, seed=4))
+    return make_logistic(2, generate_logistic_datasets(2, 20, dim=3, seed=4))
+
+
+class TestGlobalEvaluators:
+    def test_rows_equal_per_row_gradient(self, family):
+        xs = np.random.default_rng(1).normal(0.0, 1.5, (7, family.dim))
+        xs[3] = 0.0
+        rows = family.global_gradient_rows(xs)
+        assert rows.shape == xs.shape
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, family.global_gradient(x))
+
+    def test_gradient_matches_central_differences(self, family):
+        rng = np.random.default_rng(2)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.normal(0.0, 1.5, family.dim)
+            num = np.array([
+                (family.global_value(x + h * e) - family.global_value(x - h * e)) / (2 * h)
+                for e in np.eye(family.dim)
+            ])
+            assert np.allclose(family.global_gradient(x), num, rtol=1e-6, atol=1e-6)
+
+
+class TestAffineSplit:
+    @pytest.mark.parametrize("kind", ["quadratic", "trig"])
+    def test_mean_gradient_from_sample_mean(self, kind):
+        # both losses are affine in the sample: the mean sampled gradient
+        # depends on the draw only through the mean of its samples
+        ds = generate_trig_datasets(2, 9, seed=6)
+        if kind == "trig":
+            obj = make_trig(2, ds)
+        else:
+            obj = make_quadratic(np.array([[0.6]]), np.array([0.3]), 2, ds)
+        xs = np.array([-2.0, -0.3, 0.0, 0.4, 1.7])
+        samples = ds[0].samples[[1, 4, 6]]
+        got = obj.family.mean_gradient_d1(xs, samples.mean())
+        want = [obj.grad_batch(np.array([x]), samples).mean() for x in xs]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 class TestSampledOracle:
     def test_single_index_equals_pointwise(self, quad):
         x = np.array([0.3, -0.7])

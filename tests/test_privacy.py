@@ -5,9 +5,11 @@ import pytest
 
 from dpgt.graphs import build_graph_pair
 from dpgt.objectives import (
+    generate_logistic_datasets,
     generate_quadratic_datasets,
     generate_trig_datasets,
     make_dataset,
+    make_logistic,
     make_quadratic,
     make_trig,
 )
@@ -312,3 +314,18 @@ class TestMicroDP:
         assert rep.boxes_tested > 20
         assert rep.passed
         assert rep.worst_ratio <= math.exp(rep.eps) * 1.5
+
+    def test_trig_ratio_within_allowance(self):
+        gp, p, _, ds, alt = self.make_instance()
+        rep = micro_dp_check(p, gp, make_trig(2, ds), list(ds), alt, K=1, trials=10**5, seed=5)
+        assert rep.boxes_tested > 20
+        assert rep.passed
+        assert rep.worst_ratio <= math.exp(rep.eps) * 1.5
+
+    def test_loss_not_affine_in_the_sample_rejected(self):
+        gp, p, _, _, _ = self.make_instance()
+        ds = generate_logistic_datasets(2, 6, dim=1, seed=0)
+        alt = list(ds)
+        alt[0] = replace_sample(ds[0], 2, [0.5, -1.0])
+        with pytest.raises(ValueError, match="not affine"):
+            micro_dp_check(p, gp, make_logistic(2, ds), list(ds), alt, K=1, trials=10**4)
