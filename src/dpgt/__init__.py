@@ -12,7 +12,6 @@ from .graphs import (
 from .objectives import (
     Dataset,
     Objective,
-    averaged_sampled_gradient,
     make_quadratic,
     make_trig,
     verify_constants,

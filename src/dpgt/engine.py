@@ -29,10 +29,16 @@ off, 1ᵀ y_k = 1ᵀ g_k holds exactly for every k by telescoping from y_0 = g_0
 Randomness is counter-based: every Laplace block and every index draw comes
 from a fresh Philox stream keyed by (seed, agent, iteration, role), so the
 trajectory is independent of evaluation order and identical across reruns.
-Seeds are therefore independent: :func:`run_ensemble` runs large ensembles
-in forked worker processes, one contiguous block of seeds each, and gets the
-same bits as one seed after another.  The keyed generator is one object per
-thread, so callers that run seeds on threads draw the same streams too.
+Seeds are therefore independent.  :func:`run_ensemble` runs a large ensemble
+in forked worker processes, one contiguous block of seeds each, and advances
+the seeds of a block together on (S, n, d) arrays through :func:`update`,
+with one gradient pass and one metrics pass per step for all of them.  Each
+seed keeps its own keyed draws, and every array operation acts on each seed's
+slice as it acts on one seed's arrays, so the bits equal those of :func:`run`
+seed after seed.  Small ensembles, such as the benchmark self-test's short
+runs, stay on :func:`run`, whose per-seed call structure the self-test counts.
+The keyed generator is one object per thread, so callers that run seeds on
+threads draw the same streams too.
 """
 
 from __future__ import annotations
@@ -83,11 +89,15 @@ _KEY_ITER_BITS = 40
 
 # Serial cost of one agent's step: a fixed part, and the O(D) index shuffle
 # per sample of its dataset (2-core x86 host, n=5, d=10).  run_ensemble forks
-# workers when the estimated serial time of the ensemble reaches _POOL_MIN_S,
-# well above the 8-18 ms that starting two workers costs.
+# workers and batches seeds when the estimated serial time of the ensemble
+# reaches _POOL_MIN_S, well above the 8-18 ms that starting two workers costs.
 _AGENT_STEP_S = 30e-6
 _SAMPLE_S = 14e-9
 _POOL_MIN_S = 0.05
+
+# Bound on the per-sample gradients of a batched chunk of seeds, S * n * m * d
+# floats; a block runs in chunks of as many seeds as fit.
+_CHUNK_BYTES = 1 << 23
 
 
 class ConfigError(ValueError):
@@ -207,16 +217,22 @@ def noise(seed: int, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, 
     not anyone listens, so streams stay aligned across topologies; a row whose
     scale is zero stays exactly zero.
     """
-    zeta = np.zeros((n, d))
-    eta = np.zeros((n, d))
-    for i in range(n):
-        sz = rates.sigma_zeta(i, k)
-        se = rates.sigma_eta(i, k)
-        if sz > 0.0:
-            zeta[i] = laplace_vector(seed, i, k, ROLE_ZETA, d, sz)
-        if se > 0.0:
-            eta[i] = laplace_vector(seed, i, k, ROLE_ETA, d, se)
-    return zeta, eta
+    zeta, eta = _noise_lanes([seed], rates, k, n, d)
+    return zeta[0], eta[0]
+
+
+def _noise_lanes(seeds, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`noise` of each seed, stacked to (S, n, d) each."""
+    out = np.zeros((2, len(seeds), n, d))
+    for role, scales, block in (
+        (ROLE_ZETA, rates.sigma_zeta_all(k), out[0]),
+        (ROLE_ETA, rates.sigma_eta_all(k), out[1]),
+    ):
+        for i in range(n):
+            if scales[i] > 0.0:
+                for lane, seed in zip(block, seeds):
+                    lane[i] = laplace_vector(seed, i, k, role, d, scales[i])
+    return out[0], out[1]
 
 
 def draw_x0(seed: int, n: int, d: int) -> np.ndarray:
@@ -242,6 +258,21 @@ def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarr
         g = obj.grad_batch(xi, ds.samples[idx])
         np.add.reduce(g, axis=0, out=row)
         row /= g.shape[0]
+    return out
+
+
+def _sampled_gradients_lanes(obj: Objective, seeds, x: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Each seed's sampled gradients at its states x[s] (S, n, d) for iteration k.
+
+    One keyed draw per (seed, agent), as :func:`draw_indices` makes them, and
+    one ``grad_batch`` call for every seed and agent; the reduction over the
+    sample axis is the row arithmetic of :func:`sampled_gradients`.
+    """
+    xis = np.empty(x.shape[:2] + (m, obj.datasets[0].sample_dim))
+    for i, ds in enumerate(obj.datasets):
+        xis[:, i] = ds.samples[np.stack([sample_indices(s, i, k, ds.size, m) for s in seeds])]
+    out = np.add.reduce(obj.grad_batch(x, xis), axis=-2)
+    out /= m
     return out
 
 
@@ -378,22 +409,46 @@ class Trajectory:
         return self.grad_norm_sq[-1]
 
 
+def _squared_norms(w: np.ndarray) -> np.ndarray:
+    """||w||^2 per matrix w (..., n, d), as ``float(np.sqrt(w.ravel().dot(w.ravel())) ** 2)``.
+
+    np.sqrt of the dot is np.linalg.norm's arithmetic for a flat vector, and
+    ``** 2`` on a float calls libm's pow, as it does on a NumPy scalar.
+    """
+    flat = w.reshape(w.shape[:-2] + (1, -1))
+    norms = np.sqrt(flat @ flat.swapaxes(-1, -2))  # one BLAS dot per matrix, as w.dot(w)
+    return np.array([r**2 for r in norms.ravel().tolist()]).reshape(w.shape[:-2])
+
+
 def _metrics(
     x: np.ndarray,
     y: np.ndarray,
     sc: SpectralConstants,
     obj: Objective,
     f_star: float,
-) -> tuple[float, float, np.ndarray, float]:
-    # np.sqrt(w.dot(w)) is np.linalg.norm's arithmetic for a flat vector.
-    wx = (sc.W1 @ x).ravel()
-    wy = (sc.W2 @ y).ravel()
-    cx = float(np.sqrt(wx.dot(wx)) ** 2)
-    cy = float(np.sqrt(wy.dot(wy)) ** 2)
-    grads = (obj.global_gradient_rows(x) ** 2).sum(axis=1)
+):
+    """(consensus_x, consensus_y, squared gradient norm per agent, gap) at states (..., n, d)."""
+    cx = _squared_norms(sc.W1 @ x)
+    cy = _squared_norms(sc.W2 @ y)
+    grads = (obj.global_gradient_rows(x) ** 2).sum(axis=-1)
     x_bar = (sc.v1 @ x) / sc.n
     gap = obj.global_value(x_bar) - f_star
     return cx, cy, grads, gap
+
+
+def _checked_rates(scheme: SchemeParams, obj: Objective, K: int, noise_off: bool) -> Rates:
+    """The schedule at horizon K, refused when its sampling count exceeds a dataset."""
+    if K < 0:
+        raise ConfigError("K must be nonnegative")
+    rates = rates_at(scheme, K)
+    if noise_off:
+        rates = replace(rates, noise_off=True)
+    if not math.isfinite(rates.m) or rates.m_int > obj.min_dataset_size():
+        raise ConfigError(
+            f"sampling count m={rates.m} exceeds the smallest dataset "
+            f"({obj.min_dataset_size()} samples); choose a smaller growth parameter"
+        )
+    return rates
 
 
 def run(
@@ -411,16 +466,7 @@ def run(
     ``noise_off`` zeroes every perturbation while keeping all other streams
     (initial states, index draws) identical; this is the baseline mode.
     """
-    if K < 0:
-        raise ConfigError("K must be nonnegative")
-    rates = rates_at(scheme, K)
-    if noise_off:
-        rates = replace(rates, noise_off=True)
-    if not math.isfinite(rates.m) or rates.m_int > obj.min_dataset_size():
-        raise ConfigError(
-            f"sampling count m={rates.m} exceeds the smallest dataset "
-            f"({obj.min_dataset_size()} samples); choose a smaller growth parameter"
-        )
+    rates = _checked_rates(scheme, obj, K, noise_off)
     if sc is None:
         sc = spectral_constants(gp)
     f_star = obj.F_star if obj.F_star is not None else 0.0
@@ -447,6 +493,48 @@ def run(
         final_x=state.x,
         seed=seed,
     )
+
+
+def _run_lanes(
+    gp: GraphPair,
+    rates: Rates,
+    obj: Objective,
+    K: int,
+    seeds: list[int],
+    x0: np.ndarray | None,
+    sc: SpectralConstants,
+) -> list[Trajectory]:
+    """:func:`run` of every seed at once, on (S, n, d) arrays, with the same bits.
+
+    Any failure is raised without a seed; the caller reruns the seeds through
+    :func:`run` to raise the error that run raises.
+    """
+    S, n, d, m = len(seeds), gp.n, obj.dim, rates.m_int
+    if len(obj.datasets) != n or (x0 is not None and np.shape(x0) != (n, d)):
+        raise ConfigError("the agent count or the shape of x0 does not fit; run names which")
+    if x0 is None:
+        x = np.stack([draw_x0(s, n, d) for s in seeds])
+    else:
+        x = np.repeat(np.asarray(x0, dtype=float)[None], S, axis=0)
+    f_star = obj.F_star if obj.F_star is not None else 0.0
+    g = _sampled_gradients_lanes(obj, seeds, x, 0, m)
+    y = g.copy()
+    v = np.empty((S, K + 2, 3))
+    grad_norm_sq = np.empty((S, K + 1, n))
+    v[:, 0, 0], v[:, 0, 1], _, v[:, 0, 2] = _metrics(x, y, sc, obj, f_star)
+    for k in range(K + 1):
+        zeta, eta = _noise_lanes(seeds, rates, k, n, d)
+        x, y, g = update(
+            x, y, g, x + zeta, y + eta,
+            lambda x_next: _sampled_gradients_lanes(obj, seeds, x_next, k + 1, m), rates, gp, k,
+        )
+        v[:, k + 1, 0], v[:, k + 1, 1], grad_norm_sq[:, k], v[:, k + 1, 2] = _metrics(x, y, sc, obj, f_star)
+    ks = np.arange(1, K + 2)
+    samples_cum = m * np.arange(2, K + 3, dtype=np.int64)
+    return [
+        Trajectory(K=K, ks=ks, v=v[j], grad_norm_sq=grad_norm_sq[j], samples_cum=samples_cum, final_x=x[j], seed=s)
+        for j, s in enumerate(seeds)
+    ]
 
 
 @dataclass(frozen=True)
@@ -481,16 +569,26 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _large(obj: Objective, K: int, n_seeds: int) -> bool:
+    """Whether an ensemble's estimated serial time reaches ``_POOL_MIN_S``.
+
+    That is seeds x (K + 2) steps of n x ``_AGENT_STEP_S`` plus ``_SAMPLE_S``
+    per dataset sample.  A large ensemble is pooled where cores allow, and
+    its seeds are batched.
+    """
+    seed_step_s = obj.n_agents * _AGENT_STEP_S + _SAMPLE_S * sum(ds.size for ds in obj.datasets)
+    return n_seeds * (K + 2) * seed_step_s >= _POOL_MIN_S
+
+
 def _workers(obj: Objective, K: int, n_seeds: int) -> int:
     """Processes for an ensemble: one per core up to one per seed, or 1 (serial).
 
-    Serial while other threads are alive, since a forked child may inherit a
-    lock one of them holds, and inside a daemonic process, which may not
-    start children.
+    Serial for an ensemble that is not :func:`_large`, while other threads
+    are alive, since a forked child may inherit a lock one of them holds, and
+    inside a daemonic process, which may not start children.
     """
     workers = min(n_seeds, _cores())
-    seed_step_s = obj.n_agents * _AGENT_STEP_S + _SAMPLE_S * sum(ds.size for ds in obj.datasets)
-    if workers < 2 or n_seeds * (K + 2) * seed_step_s < _POOL_MIN_S or threading.active_count() > 1:
+    if workers < 2 or not _large(obj, K, n_seeds) or threading.active_count() > 1:
         return 1
     import multiprocessing  # here, so that importing dpgt does not pay for it
 
@@ -552,15 +650,22 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Independent runs over a seed list, merged in seed order.
 
-    A large ensemble runs on forked worker processes, one per available core
-    up to one per seed, each running one contiguous block of seeds in order.
-    It is large when its estimated serial time, seeds x (K + 2) steps of
-    n x ``_AGENT_STEP_S`` plus ``_SAMPLE_S`` per dataset sample, reaches
-    ``_POOL_MIN_S``.  Other ensembles run serially, as does every ensemble on
-    one core, where ``fork`` is unavailable, while other threads are alive,
-    or inside a daemonic process.  Every run is pure with keyed RNG streams, so results are
-    identical either way.  A block stops at its first failure, and the error
-    of the lowest failing seed is raised, as the serial loop raises it.
+    A large ensemble (see :func:`_large`) runs on forked worker processes,
+    one per available core up to one per seed, each running one contiguous
+    block of seeds.  It runs serially on one core, where ``fork`` is unavailable,
+    while other threads are alive, or inside a daemonic process.  Either way
+    a block of a large ensemble advances its seeds together, in chunks whose
+    per-sample gradients fit in ``_CHUNK_BYTES``, with one gradient and one
+    metrics pass per step for the chunk; a block of one seed has nothing to
+    share and runs through :func:`run`.  A smaller ensemble runs seed after
+    seed through :func:`run`: batching gains little there, and the benchmark
+    self-test counts the calls of that path on its short shapes.
+
+    Every run is pure with keyed RNG streams, and every batched operation acts
+    on each seed as on one seed's arrays, so results are identical batched or
+    per seed, pooled or serially.  A block stops at its first failure, and
+    the error of the lowest failing seed is raised, as the serial loop raises
+    it; a chunk that fails is rerun seed by seed through :func:`run` for it.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -568,7 +673,7 @@ def run_ensemble(
     if sc is None:
         sc = spectral_constants(gp)
 
-    def run_block(block: list[int]) -> tuple[list[Trajectory], Exception | None]:
+    def run_seeds(block: list[int]) -> tuple[list[Trajectory], Exception | None]:
         """The runs of a block in seed order up to its first failure, and that failure."""
         done = []
         for s in block:
@@ -576,6 +681,29 @@ def run_ensemble(
                 done.append(run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off))
             except Exception as err:
                 return done, err
+        return done, None
+
+    batched = _large(obj, K, len(seeds))
+
+    def run_block(block: list[int]) -> tuple[list[Trajectory], Exception | None]:
+        """:func:`run_seeds`' result, from batched chunks of the block if the ensemble is large."""
+        if not batched or len(block) == 1:
+            return run_seeds(block)
+        try:
+            rates = _checked_rates(scheme, obj, K, noise_off)
+        except Exception:
+            return run_seeds(block)
+        size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * rates.m_int))
+        done = []
+        for start in range(0, len(block), size):
+            chunk = block[start:start + size]
+            try:
+                done += _run_lanes(gp, rates, obj, K, chunk, x0, sc)
+            except Exception:
+                runs, err = run_seeds(chunk)
+                done += runs
+                if err is not None:
+                    return done, err
         return done, None
 
     w = _workers(obj, K, len(seeds))

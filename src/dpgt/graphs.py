@@ -323,7 +323,10 @@ def _sum_cap(sums: np.ndarray) -> float:
     Below it, every mixing coefficient 1 - step * sum stays positive.
     """
     pos = sums[sums > 0]
-    return float((1.0 / pos).min()) if pos.size else np.inf
+    if not pos.size:
+        return np.inf
+    with np.errstate(over="ignore"):  # 1 / a subnormal sum rounds to inf, the correct cap
+        return float((1.0 / pos).min())
 
 
 def spectral_constants(gp: GraphPair) -> SpectralConstants:

@@ -17,9 +17,12 @@ gradient-noise bound, and a quadratic-growth constant for F):
 
 Each family is one evaluator class (``_Quadratic``, ``_Trig``, ``_Logistic``)
 with ``loss``, ``grad_batch``, ``global_value`` and ``global_gradient_rows``;
-``Objective`` wraps one with the datasets and the declared constants.  Both
-closed-form losses are affine in the sample, so their classes also give the
-d = 1 mean sampled gradient from the samples' mean (``mean_gradient_d1``).
+``Objective`` wraps one with the datasets and the declared constants.  The
+last three take leading batch axes, one independent point per lane, and each
+lane gets the bits of a call on that point alone: the engine evaluates every
+seed of an ensemble in one call.  Both closed-form losses are affine in the
+sample, so their classes also give the d = 1 mean sampled gradient from the
+samples' mean (``mean_gradient_d1``).
 
 The declared constants are treated as claims; ``verify_constants`` estimates
 each one by brute force and reports pass/fail per constant.  A small logistic
@@ -30,7 +33,7 @@ constants and no quadratic-growth claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -42,7 +45,6 @@ __all__ = [
     "ConstantsReport",
     "DatasetError",
     "RankDeficientError",
-    "SampleIndexError",
     "make_dataset",
     "generate_quadratic_datasets",
     "generate_trig_datasets",
@@ -50,7 +52,6 @@ __all__ = [
     "make_quadratic",
     "make_trig",
     "make_logistic",
-    "averaged_sampled_gradient",
     "verify_constants",
 ]
 
@@ -61,10 +62,6 @@ class DatasetError(ValueError):
 
 class RankDeficientError(ValueError):
     """Design matrix does not have full column rank."""
-
-
-class SampleIndexError(ValueError):
-    """Duplicate or out-of-range sample index."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,9 @@ class Objective:
 
     ``grad_batch(x, xis)`` evaluates the per-sample gradient for a whole
     (m, r) block of samples at once and is the hot path for the engine.
+    ``grad_batch``, ``global_value`` and ``global_gradient_rows`` broadcast
+    over leading batch axes: x (..., d) with samples (..., m, r), and rows
+    (..., d).
     """
 
     kind: str
@@ -132,12 +132,10 @@ class Objective:
         return self.family.grad_batch(np.asarray(x, float), np.asarray(xis, float))
 
     # -- empirical-risk quantities -------------------------------------------
-    def local_gradient(self, agent: int, x) -> np.ndarray:
-        ds = self.datasets[agent]
-        return self.grad_batch(x, ds.samples).mean(axis=0)
-
-    def global_value(self, x) -> float:
-        return float(self.family.global_value(np.asarray(x, float)))
+    def global_value(self, x):
+        """F at x (d,) as a float, or at each row of x (..., d) as an array."""
+        value = self.family.global_value(np.asarray(x, float))
+        return float(value) if np.ndim(value) == 0 else value
 
     def global_gradient(self, x) -> np.ndarray:
         return self.global_gradient_rows(np.asarray(x, float)[None])[0]
@@ -148,27 +146,6 @@ class Objective:
 
     def min_dataset_size(self) -> int:
         return min(ds.size for ds in self.datasets)
-
-    def with_constants(self, **kwargs) -> "Objective":
-        """Copy with some declared constants replaced (e.g. measured bounds)."""
-        allowed = {"L1_smooth", "L2_holder", "tau", "sigma_g", "mu", "F_star"}
-        bad = set(kwargs) - allowed
-        if bad:
-            raise ValueError(f"cannot replace fields {sorted(bad)}")
-        return replace(self, **kwargs)
-
-
-def averaged_sampled_gradient(obj: Objective, agent: int, x, sample_indices) -> np.ndarray:
-    """Mean of the per-sample gradients at the given distinct dataset indices."""
-    idx = np.asarray(sample_indices, dtype=int)
-    ds = obj.datasets[agent]
-    if idx.size == 0:
-        raise SampleIndexError("need at least one sample index")
-    if len(np.unique(idx)) != idx.size:
-        raise SampleIndexError("sample indices must be distinct")
-    if idx.min() < 0 or idx.max() >= ds.size:
-        raise SampleIndexError(f"index out of range for dataset of size {ds.size}")
-    return obj.grad_batch(x, ds.samples[idx]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +179,37 @@ def generate_logistic_datasets(n_agents: int, D: int, dim: int, seed: int) -> li
 # Built-in objective families
 # ---------------------------------------------------------------------------
 
+def _dots(v: np.ndarray) -> np.ndarray:
+    """v . v per row of v (..., k): one BLAS dot each, the arithmetic of ``v.dot(v)``."""
+    return v.dot(v) if v.ndim == 1 else (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v per row of v (..., k): one gemv each, the arithmetic of ``M @ v`` for 1-D v."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
+def _lanes(fn, a: np.ndarray) -> np.ndarray:
+    """The Python float function ``fn`` at each entry of ``a``, e.g. libm's sin.
+
+    ``v ** 2`` on a float calls libm's pow, as a NumPy scalar's does, where an
+    array's ``** 2`` multiplies; the two differ in the last bit now and then.
+    """
+    return np.array([fn(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _square(v: float) -> float:
+    return v**2
+
+
 def _norm_coupling_grad(x: np.ndarray) -> np.ndarray:
-    # Gradient of ||x|| / (1 + ||x||); the kink at the origin is resolved as 0.
-    nx = np.sqrt(x.dot(x))  # np.linalg.norm's arithmetic for a 1-D x
-    if nx == 0.0:
-        return np.zeros_like(x)
-    return x / (nx * (1.0 + nx) ** 2)
+    # Gradient of ||x|| / (1 + ||x||) per row of x (..., d); the kink at the origin is resolved as 0.
+    nx = np.sqrt(_dots(x))  # np.linalg.norm's arithmetic for a 1-D x
+    if x.ndim == 1:
+        return x / (nx * (1.0 + nx) ** 2) if nx != 0.0 else np.zeros_like(x)
+    nx = nx[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(nx == 0.0, 0.0, x / (nx * _lanes(_square, 1.0 + nx)))
 
 
 def _sample_mean(datasets) -> float:
@@ -226,24 +228,26 @@ class _Quadratic:
         self.gram = A.T @ A
         self.At_dvec = (A.T @ dvec)[None, :]
 
+    def _value(self, x, xi0: float):
+        res = _mv(self.A, x) - self.dvec
+        nx = np.sqrt(_dots(x))  # np.linalg.norm's arithmetic for a 1-D x
+        return 0.5 * _dots(res) / self.n + xi0 * nx / (1.0 + nx)
+
     def loss(self, x, xi) -> float:
-        res = self.A @ x - self.dvec
-        nx = np.sqrt(x.dot(x))  # np.linalg.norm's arithmetic for a 1-D x
-        xi0 = float(np.asarray(xi).reshape(-1)[0])
-        return 0.5 * (res @ res) / self.n + xi0 * nx / (1.0 + nx)
+        return self._value(x, float(np.asarray(xi).reshape(-1)[0]))
 
     def grad_batch(self, x, xis) -> np.ndarray:
-        base = self.A.T @ (self.A @ x - self.dvec) / self.n
+        base = _mv(self.A.T, _mv(self.A, x) - self.dvec) / self.n
         # np.outer(xis[:, 0], coupling), written as the broadcast product it is.
-        return base[None, :] + xis[:, :1] * _norm_coupling_grad(x)[None, :]
+        return base[..., None, :] + xis[..., :1] * _norm_coupling_grad(x)[..., None, :]
 
-    def global_value(self, x) -> float:
-        return self.loss(x, self.mean_all)
+    def global_value(self, x):
+        return self._value(x, self.mean_all)
 
     def global_gradient_rows(self, xs) -> np.ndarray:
         base = (xs @ self.gram - self.At_dvec) / self.n
-        # np.linalg.norm(xs, axis=1, keepdims=True), by the same reduction.
-        norms = np.sqrt(np.add.reduce(xs * xs, axis=1, keepdims=True))
+        # np.linalg.norm(xs, axis=-1, keepdims=True), by the same reduction.
+        norms = np.sqrt(np.add.reduce(xs * xs, axis=-1, keepdims=True))
         positive = norms > 0
         if positive.all():
             coupling = xs / (norms * (1.0 + norms) ** 2)
@@ -260,9 +264,16 @@ class _Quadratic:
         return (q * x - c0) / self.n + xibar * coupling
 
 
-def _trig_grad(x0: float, xi):
-    """d/dx of the trig loss at scalar x0, for a scalar or an array of samples xi."""
-    return 2.0 * x0 + (3.0 + xi) * math.sin(2.0 * x0) - 2.0 * xi * math.sin(x0)
+def _trig_grad(x0: np.ndarray, xi):
+    """d/dx of the trig loss at points x0, for samples xi broadcasting against them.
+
+    Sines are libm's, one ``math.sin`` call per point.
+    """
+    return 2.0 * x0 + (3.0 + xi) * _lanes(math.sin, 2.0 * x0) - 2.0 * xi * _lanes(math.sin, x0)
+
+
+def _trig_loss(x0: float, xi0: float) -> float:
+    return x0 * x0 + (3.0 + xi0) * math.sin(x0) ** 2 + 2.0 * xi0 * math.cos(x0)
 
 
 class _Trig:
@@ -275,27 +286,38 @@ class _Trig:
         self.mean_all = mean_all
 
     def loss(self, x, xi) -> float:
-        x0 = float(np.asarray(x).reshape(-1)[0])
-        xi0 = float(np.asarray(xi).reshape(-1)[0])
-        return x0 * x0 + (3.0 + xi0) * math.sin(x0) ** 2 + 2.0 * xi0 * math.cos(x0)
+        return _trig_loss(float(np.asarray(x).reshape(-1)[0]), float(np.asarray(xi).reshape(-1)[0]))
 
     def grad_batch(self, x, xis) -> np.ndarray:
-        return _trig_grad(float(x.reshape(())), xis[:, 0])[:, None]
+        return _trig_grad(x, xis[..., 0])[..., None]
 
-    def global_value(self, x) -> float:
-        return self.loss(x, self.mean_all)
+    def global_value(self, x):
+        return _lanes(lambda x0: _trig_loss(x0, self.mean_all), x[..., 0])
 
     def global_gradient_rows(self, xs) -> np.ndarray:
-        # Row by row with libm's sin, the arithmetic of grad_batch.
-        return np.array([[_trig_grad(float(x0), self.mean_all)] for x0 in xs[:, 0]])
+        return _trig_grad(xs, self.mean_all)
 
     def mean_gradient_d1(self, x: np.ndarray, xibar: np.ndarray) -> np.ndarray:
         """Elementwise mean sampled gradient, from the samples' mean xibar."""
         return 2.0 * x + (3.0 + xibar) * np.sin(2.0 * x) - 2.0 * xibar * np.sin(x)
 
 
+def _per_lane(method):
+    """Apply a method written for one point (d,) to every lane of x (..., d)."""
+
+    def over_lanes(self, x, *rest):
+        if x.ndim == 1:
+            return method(self, x, *rest)
+        return np.array([over_lanes(self, *lane) for lane in zip(x, *rest)])
+
+    return over_lanes
+
+
 class _Logistic:
-    """Logistic loss with a ridge term; each sample is (features..., label)."""
+    """Logistic loss with a ridge term; each sample is (features..., label).
+
+    Leading batch axes are evaluated lane by lane.
+    """
 
     def __init__(self, datasets, ridge: float):
         self.samples = [ds.samples for ds in datasets]
@@ -305,19 +327,20 @@ class _Logistic:
         margin = float(xi[-1]) * float(xi[:-1] @ x)
         return float(np.logaddexp(0.0, -margin) + 0.5 * self.ridge * (x @ x))
 
+    @_per_lane
     def grad_batch(self, x, xis) -> np.ndarray:
         feats, labels = xis[:, :-1], xis[:, -1]
         margins = labels * (feats @ x)
         coef = -labels / (1.0 + np.exp(margins))
         return coef[:, None] * feats + self.ridge * x[None, :]
 
+    @_per_lane
     def global_value(self, x) -> float:
         return float(np.mean([np.mean([self.loss(x, xi) for xi in s]) for s in self.samples]))
 
-    def global_gradient_rows(self, xs) -> np.ndarray:
-        return np.array(
-            [np.mean([self.grad_batch(x, s).mean(axis=0) for s in self.samples], axis=0) for x in xs]
-        )
+    @_per_lane
+    def global_gradient_rows(self, x) -> np.ndarray:
+        return np.mean([self.grad_batch(x, s).mean(axis=0) for s in self.samples], axis=0)
 
 
 def make_quadratic(A, dvec, n_agents: int, datasets) -> Objective:
@@ -379,17 +402,20 @@ def make_trig(n_agents: int, datasets) -> Objective:
     n = n_agents
     fam = _Trig(_sample_mean(datasets[:n]))
 
+    def value(x) -> float:
+        return fam.loss(x, fam.mean_all)
+
     grid = np.linspace(-3.0, 3.0, 601)
-    vals = [fam.global_value(g) for g in grid]
+    vals = [value(g) for g in grid]
     j = int(np.argmin(vals))
     try:
         lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
         res = scipy.optimize.minimize_scalar(
-            fam.global_value, bracket=(lo, grid[j], hi), method="golden", options={"xtol": 1e-10}
+            value, bracket=(lo, grid[j], hi), method="golden", options={"xtol": 1e-10}
         )
     except ValueError:  # degenerate bracket (flat or boundary grid minimum)
         res = scipy.optimize.minimize_scalar(
-            fam.global_value, bounds=(grid[j] - 0.05, grid[j] + 0.05), method="bounded",
+            value, bounds=(grid[j] - 0.05, grid[j] + 0.05), method="bounded",
             options={"xatol": 1e-10},
         )
     f_star = float(min(res.fun, vals[j]))

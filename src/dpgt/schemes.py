@@ -41,7 +41,6 @@ __all__ = [
     "validate_s1",
     "validate_s2",
     "theta",
-    "suboptimality_exponents",
     "check_budget_finiteness",
 ]
 
@@ -366,24 +365,6 @@ def theta(params: S1Params) -> float:
     )
 
 
-def suboptimality_exponents(phi: float) -> dict:
-    """S1 exponent set targeting a gradient-norm accuracy phi.
-
-    Returns the constructed exponents only; no statement about the resulting
-    sample complexity is derived here.
-    """
-    if phi <= 0:
-        raise ValueError("phi must be positive")
-    return {
-        "p_alpha": max(1.0 - phi / 5.0, 0.9),
-        "p_beta": max(2.0 / 3.0 * (1.0 - phi / 5.0), 0.6),
-        "p_gamma": max(1.0 - phi / 10.0, 0.9),
-        "p_m": max(2.0 - phi / 10.0, 39.0 / 20.0),
-        "p_zeta": max(phi / 10.0, 0.05),
-        "p_eta": max(phi / 10.0, 0.05),
-    }
-
-
 def check_budget_finiteness(
     params: SchemeParams, gp: GraphPair | None = None
 ) -> ValidationReport:
@@ -401,6 +382,8 @@ def check_budget_finiteness(
             + min(0.0, params.p_gamma - params.p_alpha - params.p_beta)
             + min(min(params.p_zeta) - 1.0, 0.0)
         )
+        # With a4 = 0 the sampling count stays at 1 and no exponent below applies.
+        entries.append(_lt("0 < a4", 0.0, params.a4))
         entries.append(_lt("0 < p_m - p_beta + min(min p_eta - 1, 0)", 0.0, e_y))
         entries.append(
             _lt(

@@ -25,7 +25,14 @@ from dpgt.engine import (
     update,
 )
 from dpgt.graphs import build_graph_pair, spectral_constants
-from dpgt.objectives import generate_quadratic_datasets, make_quadratic
+from dpgt.objectives import (
+    generate_logistic_datasets,
+    generate_quadratic_datasets,
+    generate_trig_datasets,
+    make_logistic,
+    make_quadratic,
+    make_trig,
+)
 from dpgt.schemes import S1Params, S2Params, rates_at
 
 
@@ -47,6 +54,23 @@ def s2(n=5, **kw):
     base = dict(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.002, p_zeta=(0.93,) * n, p_eta=(0.93,) * n)
     base.update(kw)
     return S2Params(**base)
+
+
+def s1(n=5, **kw):
+    base = dict(
+        a1=0.05, a2=0.4, a3=2.4, a4=4e-3, p_alpha=0.987, p_beta=0.69, p_gamma=0.997, p_m=2.0,
+        p_zeta=(0.1,) * n, p_eta=(0.1,) * n,
+    )
+    base.update(kw)
+    return S1Params(**base)
+
+
+def family_objective(kind, n=5):
+    if kind == "quadratic":
+        return quad_objective(n=n, d=4, D=40)
+    if kind == "trig":
+        return make_trig(n, generate_trig_datasets(n, 40, seed=3))
+    return make_logistic(n, generate_logistic_datasets(n, 30, dim=3, seed=4))
 
 
 DIVERGENCE_FIELDS = ("variable", "k", "agent", "magnitude", "seed")
@@ -210,7 +234,8 @@ class TestStep:
         nxt = step(st, gp, rates, obj)
         expect = st.x[0] - 0.05 * st.y[0]
         assert np.allclose(nxt.x[0], expect, atol=1e-15)
-        assert np.allclose(st.y[0], obj.local_gradient(0, st.x[0]), atol=1e-15)
+        full_batch = obj.grad_batch(st.x[0], obj.datasets[0].samples).mean(axis=0)
+        assert np.allclose(st.y[0], full_batch, atol=1e-15)
 
     def test_agentwise_equals_stacked_form(self):
         rng = np.random.default_rng(0)
@@ -266,23 +291,24 @@ class TestStep:
             for _ in range(201):
                 st = compact_step(st, gp, rates, obj)
 
-    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("d", [1, 4, 10])
     def test_update_on_a_batch_equals_separate_calls(self, d):
         # Agents sit on axis -2, so an (S, n, d) batch is S independent runs.
         gp = five_node_pair()
         rates = rates_at(s2(), 10)
         rng = np.random.default_rng(11)
-        S, n = 6, gp.n
-        x, y, g, xb, yb = (rng.normal(size=(S, n, d)) for _ in range(5))
+        n = gp.n
 
         def grad_at(x_next):
             return np.sin(x_next) + 0.5 * x_next
 
-        batched = update(x, y, g, xb, yb, grad_at, rates, gp, 3)
-        for s in range(S):
-            single = update(x[s], y[s], g[s], xb[s], yb[s], grad_at, rates, gp, 3)
-            for got, want in zip(batched, single):
-                assert np.array_equal(got[s], want)
+        for S in (1, 7, 300):
+            x, y, g, xb, yb = (rng.normal(size=(S, n, d)) for _ in range(5))
+            batched = update(x, y, g, xb, yb, grad_at, rates, gp, 3)
+            for s in range(S):
+                single = update(x[s], y[s], g[s], xb[s], yb[s], grad_at, rates, gp, 3)
+                for got, want in zip(batched, single):
+                    assert got[s].tobytes() == want.tobytes()
 
 
 class TestRun:
@@ -417,6 +443,28 @@ def pool_on(monkeypatch, cores: int = 2) -> None:
     """Give run_ensemble ``cores`` cores and make every ensemble large enough to fork for."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)
+
+
+def fail_batches(monkeypatch) -> None:
+    """Make every batched chunk fail, so that its seeds rerun through ``engine.run``."""
+
+    def failing(gp, rates, obj, K, seeds, x0, sc):
+        raise RuntimeError("batched chunk failed")
+
+    monkeypatch.setattr(engine, "_run_lanes", failing)
+
+
+def spy_batches(monkeypatch) -> list:
+    """Record the seeds of every batched chunk that runs in this process."""
+    calls = []
+    real = engine._run_lanes
+
+    def spy(gp, rates, obj, K, seeds, x0, sc):
+        calls.append(list(seeds))
+        return real(gp, rates, obj, K, seeds, x0, sc)
+
+    monkeypatch.setattr(engine, "_run_lanes", spy)
+    return calls
 
 
 def merge_like_run_ensemble(trajs) -> dict:
@@ -557,6 +605,19 @@ class TestEnsemble:
         monkeypatch.setattr(engine, "_run_forked", no_fork)
         run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=[4])
 
+    def test_self_test_shapes_never_batch(self, monkeypatch):
+        # The self-test's closed-form counts are those of run's per-seed calls.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        batches = spy_batches(monkeypatch)
+        gp = five_node_pair()
+        for K in (5, 10):
+            run_ensemble(gp, s2(), quad_objective(d=10, D=200), K=K, seeds=range(3))
+        run_ensemble(gp, s2(), quad_objective(d=10, D=50_000), K=8, seeds=[1])
+        assert batches == []
+        # The benchmark's full shape does batch, in one chunk on one core.
+        run_ensemble(gp, s2(), quad_objective(d=10, D=200), K=25, seeds=range(20))
+        assert batches == [list(range(20))]
+
     def test_self_test_shapes_never_build_a_pool(self, monkeypatch):
         # The benchmark self-test pins traced call counts, which calls made in
         # forked workers would miss: 3 seeds x K 5 and 10 at n=5, d=10, D=200,
@@ -595,6 +656,7 @@ class TestEnsemble:
                 raise DivergenceError("state", 1, 0, math.inf, seed)
 
         monkeypatch.setattr(engine, "run", fake_run)
+        fail_batches(monkeypatch)
         pool_on(monkeypatch)
         with pytest.raises(DivergenceError) as caught:
             run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(10))
@@ -614,6 +676,7 @@ class TestEnsemble:
                 raise DivergenceError("tracking", 5, seed % 5, 2e12, seed)
 
         monkeypatch.setattr(engine, "run", fake_run)
+        fail_batches(monkeypatch)
         pool_on(monkeypatch)
         with pytest.raises(DivergenceError) as caught:
             run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(6))
@@ -634,3 +697,118 @@ class TestEnsemble:
             ens = run_ensemble(gp, scheme, obj, K, seeds=range(100, 200))
             finals.append(ens.mean_final_grad.max())
         assert finals[0] > finals[1] > finals[2]
+
+
+def batch_on(monkeypatch) -> list:
+    """One core, every ensemble large: run_ensemble batches in this process; returns the chunk spy."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)
+    return spy_batches(monkeypatch)
+
+
+class TestBatchedEnsemble:
+    """run_ensemble's batched chunks against run, seed by seed, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["plain", "x0", "noise_off"])
+    @pytest.mark.parametrize("scheme", ["S1", "S2"])
+    @pytest.mark.parametrize("kind", ["quadratic", "trig", "logistic"])
+    def test_batched_equals_per_seed_runs(self, monkeypatch, kind, scheme, variant):
+        gp = five_node_pair()
+        obj = family_objective(kind)
+        params = s1() if scheme == "S1" else s2()
+        K = 24 if kind != "logistic" else 8
+        kw = {}
+        if variant == "x0":
+            kw["x0"] = np.random.default_rng(5).uniform(-1.0, 1.0, (gp.n, obj.dim))
+        elif variant == "noise_off":
+            kw["noise_off"] = True
+        seeds = [4, 17, 2, 9, 30, 11]
+        batches = batch_on(monkeypatch)
+        got = run_ensemble(gp, params, obj, K, seeds, **kw)
+        assert batches == [seeds]
+        want = merge_like_run_ensemble([run(gp, params, obj, K, s, **kw) for s in seeds])
+        assert_equal_results(got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 15])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_bits_for_any_chunk_and_worker_count(self, monkeypatch, tmp_path, workers, chunk):
+        gp = five_node_pair()
+        obj = quad_objective(d=10, D=60)
+        K, seeds = 30, list(range(40, 55))
+        m = rates_at(s1(), K).m_int
+        assert m > 1
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk * 8 * gp.n * obj.dim * m)
+        pool_on(monkeypatch, cores=workers)
+        sizes = tmp_path / "sizes"
+        real = engine._run_lanes
+
+        def spy(gp, rates, obj, K, seeds, x0, sc):
+            log_seed(sizes, len(seeds))
+            return real(gp, rates, obj, K, seeds, x0, sc)
+
+        monkeypatch.setattr(engine, "_run_lanes", spy)
+        got = run_ensemble(gp, s1(), obj, K, seeds)
+        blocks = [seeds] if workers == 1 else [seeds[:7], seeds[7:]]
+        expected_sizes = [min(chunk, len(b) - i) for b in blocks for i in range(0, len(b), chunk)]
+        assert sorted(map(int, sizes.read_text().split())) == sorted(expected_sizes)
+        want = merge_like_run_ensemble([run(gp, s1(), obj, K, s) for s in seeds])
+        assert_equal_results(got, want)
+
+    def test_one_seed_block_runs_per_seed(self, monkeypatch):
+        batches = batch_on(monkeypatch)
+        got = run_ensemble(five_node_pair(), s1(), quad_objective(), 12, [8])
+        assert batches == []
+        want = run(five_node_pair(), s1(), quad_objective(), 12, 8)
+        assert np.array_equal(got.mean_v, want.v)
+        assert np.array_equal(got.mean_grad_norm_sq, want.grad_norm_sq)
+
+    def test_diverging_batch_raises_the_serial_error(self, monkeypatch):
+        gp = five_node_pair()
+        obj = quad_objective()
+        bad = s2(gamma=900.0)
+        with pytest.raises(DivergenceError) as serial:
+            run(gp, bad, obj, K=200, seed=12)
+        batches = batch_on(monkeypatch)
+        with pytest.raises(DivergenceError) as batched:
+            run_ensemble(gp, bad, obj, K=200, seeds=range(12, 16))
+        assert batches == [[12, 13, 14, 15]]
+        assert [getattr(batched.value, a) for a in DIVERGENCE_FIELDS] == [
+            getattr(serial.value, a) for a in DIVERGENCE_FIELDS
+        ]
+        assert str(batched.value) == str(serial.value)
+
+    def test_rejected_inputs_raise_runs_error(self, monkeypatch):
+        gp = five_node_pair()
+        obj = quad_objective()
+        batch_on(monkeypatch)
+        with pytest.raises(ConfigError, match="x0 must have shape"):
+            run_ensemble(gp, s2(), obj, K=3, seeds=range(3), x0=np.zeros(4))
+        with pytest.raises(ConfigError, match="exceeds the smallest dataset"):
+            run_ensemble(gp, s2(p_m=2.0), obj, K=10, seeds=range(3))
+
+    def test_squared_norms_square_with_libm_pow(self):
+        # As float(np.sqrt(w.dot(w)) ** 2) does: a NumPy scalar's ** 2 is libm's pow.
+        v = next(v for v in np.random.default_rng(0).uniform(1.0, 2.0, 100_000).tolist() if np.float64(v) ** 2 != v * v)
+        w = np.random.default_rng(1).normal(size=(3, 5, 10))
+        w[1] = 0.0
+        w[1, 2, 3] = v
+        got = engine._squared_norms(w)
+        for s in range(3):
+            flat = w[s].ravel()
+            assert got[s] == float(np.sqrt(flat.dot(flat)) ** 2)
+        assert got[1] == np.float64(v) ** 2 != v * v
+
+    @pytest.mark.parametrize("S", [1, 7, 300])
+    def test_metrics_on_a_batch_equal_separate_calls(self, S):
+        gp = five_node_pair()
+        sc = spectral_constants(gp)
+        obj = quad_objective(d=10, D=20)
+        rng = np.random.default_rng(S)
+        x = rng.normal(0.0, 2.0, (S, gp.n, obj.dim))
+        y = rng.normal(0.0, 2.0, (S, gp.n, obj.dim))
+        x[0, 2] = 0.0
+        got = engine._metrics(x, y, sc, obj, obj.F_star)
+        for s in range(S):
+            want = engine._metrics(x[s], y[s], sc, obj, obj.F_star)
+            for g, w in zip(got, want):
+                assert np.asarray(g[s]).tobytes() == np.asarray(w, dtype=float).tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dpgt.graphs import (
     GraphValidationError,
     NegativeEntryError,
     NonFiniteEntryError,
+    _sum_cap,
     build_graph_pair,
     check_connectivity,
     spectral_constants,
@@ -145,6 +147,19 @@ class TestSpectrum:
     def test_size_cap(self):
         with pytest.raises(GraphValidationError):
             spectrum(np.eye(10), max_n=5)
+
+
+class TestSumCap:
+    def test_subnormal_sum_gives_an_infinite_cap_without_a_warning(self):
+        # 1 / 5e-324 overflows to inf, the correctly rounded cap; the other sum sets the minimum.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sum_cap(np.array([5e-324, 1.0])) == 1.0
+            assert _sum_cap(np.array([5e-324])) == math.inf
+            assert _sum_cap(np.array([0.0, -1.0])) == math.inf
+
+    def test_least_reciprocal_of_the_positive_sums(self):
+        assert _sum_cap(np.array([0.0, 0.5, 2.0, 4.0])) == 0.25
 
 
 class TestSpectralConstants:

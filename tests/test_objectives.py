@@ -7,8 +7,6 @@ import pytest
 from dpgt.objectives import (
     DatasetError,
     RankDeficientError,
-    SampleIndexError,
-    averaged_sampled_gradient,
     generate_logistic_datasets,
     generate_quadratic_datasets,
     generate_trig_datasets,
@@ -18,6 +16,8 @@ from dpgt.objectives import (
     make_trig,
     verify_constants,
 )
+from dpgt.engine import sampled_gradients
+from dpgt.objectives import _norm_coupling_grad
 
 
 @pytest.fixture(scope="module")
@@ -159,41 +159,119 @@ class TestAffineSplit:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+def sampled_mean(obj, agent, x, idx):
+    """The engine's sampled gradient of one agent: the mean over the drawn samples."""
+    return sampled_gradients(obj, obj.datasets[agent:agent + 1], np.asarray(x, float)[None], [np.asarray(idx)])[0]
+
+
 class TestSampledOracle:
     def test_single_index_equals_pointwise(self, quad):
         x = np.array([0.3, -0.7])
-        g = averaged_sampled_gradient(quad, 0, x, [4])
+        g = sampled_mean(quad, 0, x, [4])
         assert np.allclose(g, quad.grad(x, quad.datasets[0].samples[4]))
 
     def test_full_batch_equals_local_gradient(self, quad):
+        # local gradient: grad f_i at x, the mean over agent i's whole dataset
         x = np.array([1.0, 0.5])
-        D = quad.datasets[1].size
-        g = averaged_sampled_gradient(quad, 1, x, list(range(D)))
-        assert np.allclose(g, quad.local_gradient(1, x), atol=1e-14)
+        ds = quad.datasets[1]
+        g = sampled_mean(quad, 1, x, list(range(ds.size)))
+        local = sum(quad.grad(x, xi) for xi in ds.samples) / ds.size
+        assert np.allclose(g, local, atol=1e-14)
 
     def test_random_subset_matches_direct_sum(self, quad):
         x = np.array([-0.4, 1.1])
         idx = [7, 2, 9]
-        g = averaged_sampled_gradient(quad, 0, x, idx)
+        g = sampled_mean(quad, 0, x, idx)
         direct = sum(quad.grad(x, quad.datasets[0].samples[i]) for i in idx) / 3
         assert np.allclose(g, direct, atol=1e-14)
-
-    def test_duplicate_and_out_of_range_rejected(self, quad):
-        with pytest.raises(SampleIndexError):
-            averaged_sampled_gradient(quad, 0, np.zeros(2), [1, 1])
-        with pytest.raises(SampleIndexError):
-            averaged_sampled_gradient(quad, 0, np.zeros(2), [0, 99])
 
     def test_unbiased_over_all_subsets(self):
         # averaging over every m-subset reproduces the full-batch gradient
         ds = generate_quadratic_datasets(1, 6, seed=9)
         obj = make_quadratic(np.eye(2), np.array([1.0, -2.0]), 1, ds)
         x = np.array([0.6, 0.9])
-        full = obj.local_gradient(0, x)
+        full = sampled_mean(obj, 0, x, list(range(6)))
         for m in (1, 2, 3, 5):
             subs = list(itertools.combinations(range(6), m))
-            avg = sum(averaged_sampled_gradient(obj, 0, x, list(s)) for s in subs) / len(subs)
+            avg = sum(sampled_mean(obj, 0, x, list(sub)) for sub in subs) / len(subs)
             assert np.allclose(avg, full, atol=1e-13)
+
+
+def pow_trap() -> float:
+    """A v in [1, 2) with ``np.float64(v) ** 2 != v * v``, where the difference reaches the coupling.
+
+    A NumPy scalar's ``** 2`` is libm's pow; an array's multiplies.  At a
+    point x with ||x|| = v - 1 the coupling gradient x / (||x|| (1 + ||x||)^2)
+    squares v, and for this v its bits depend on how.
+    """
+    for v in np.random.default_rng(0).uniform(1.0, 2.0, 100_000).tolist():
+        if np.float64(v) ** 2 != v * v and 1.0 / (np.float64(v) ** 2) != 1.0 / (v * v):
+            return v
+    raise AssertionError("no trap value found")
+
+
+def lane_points(family, lead: tuple, seed: int = 3) -> np.ndarray:
+    """Points (*lead, d) with one zero lane (the coupling's kink) and one pow-trap lane."""
+    x = np.random.default_rng(seed).normal(0.0, 1.5, lead + (family.dim,))
+    flat = x.reshape(-1, family.dim)
+    flat[0] = 0.0
+    if flat.shape[0] > 1:
+        # ||x|| = v - 1 exactly, so the coupling squares 1 + ||x|| = v.
+        flat[1] = 0.0
+        flat[1, 0] = pow_trap() - 1.0
+    return x
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LEADS = [(1,), (7,), (300,), (60, 5)]
+
+
+class TestLeadingBatchAxes:
+    """Each lane of a batched call has the bits of a call on that lane alone."""
+
+    def test_pow_trap_is_a_trap(self):
+        v = pow_trap()
+        assert np.float64(v) ** 2 != np.array([v]) ** 2
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_grad_batch(self, family, lead):
+        x = lane_points(family, lead)
+        pooled = np.vstack([ds.samples for ds in family.datasets])
+        rng = np.random.default_rng(4)
+        xis = pooled[rng.integers(0, pooled.shape[0], lead + (6,))]
+        got = family.grad_batch(x, xis)
+        assert got.shape == lead + (6, family.dim)
+        for i in np.ndindex(*lead):
+            assert same_bits(got[i], family.grad_batch(x[i], xis[i])), i
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_global_gradient_rows(self, family, lead):
+        x = lane_points(family, lead + (4,))
+        got = family.global_gradient_rows(x)
+        assert got.shape == x.shape
+        for i in np.ndindex(*lead):
+            assert same_bits(got[i], family.global_gradient_rows(x[i])), i
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_global_value(self, family, lead):
+        x = lane_points(family, lead)
+        got = family.global_value(x)
+        assert got.shape == lead
+        for i in np.ndindex(*lead):
+            assert same_bits(got[i], np.float64(family.global_value(x[i]))), i
+
+    def test_the_trap_lane_needs_libm_pow(self):
+        v = pow_trap()
+        x = np.array([[v - 1.0, 0.0, 0.0]] * 3)
+        got = _norm_coupling_grad(x)
+        nx = np.sqrt(x[0].dot(x[0]))
+        assert nx == v - 1.0
+        assert same_bits(got[1], x[0] / (nx * (1.0 + nx) ** 2))  # a NumPy scalar's ** 2
+        assert not same_bits(got[1], x[0] / (nx * (np.array([1.0 + nx]) ** 2)[0]))
 
 
 class TestDatasets:

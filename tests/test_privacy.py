@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestAdjacency:
 
     def test_holder_exponent_zero_is_data_free(self):
         ds = generate_trig_datasets(1, 10, seed=0)
-        obj = make_trig(1, ds).with_constants(tau=0.0)
+        obj = dataclasses.replace(make_trig(1, ds), tau=0.0)
         alt = [replace_sample(ds[0], 2, [4.0])]
         C = adjacency_constant(obj, ds[0], alt[0])
         assert C == pytest.approx(2.0 * math.sqrt(1) * obj.L2_holder)

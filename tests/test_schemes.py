@@ -13,7 +13,6 @@ from dpgt.schemes import (
     check_budget_finiteness,
     q_caps,
     rates_at,
-    suboptimality_exponents,
     theta,
     validate_s1,
     validate_s2,
@@ -146,28 +145,6 @@ class TestValidateS1:
         assert validate_s1(s1_reference(p_noise=0.142), sc, L=0.1).overall
         assert not validate_s1(s1_reference(p_noise=0.15), sc, L=0.1).overall
 
-    def test_suboptimality_construction_at_half(self, sc5):
-        _, sc = sc5
-        e = suboptimality_exponents(0.5)
-        assert e == {
-            "p_alpha": 0.9,
-            "p_beta": 0.6,
-            "p_gamma": 0.95,
-            "p_m": 1.95,
-            "p_zeta": 0.05,
-            "p_eta": 0.05,
-        }
-        rep = validate_s1(
-            s1_reference(
-                p_alpha=e["p_alpha"], p_beta=e["p_beta"], p_gamma=e["p_gamma"], p_m=e["p_m"],
-                p_zeta=(e["p_zeta"],) * 5, p_eta=(e["p_eta"],) * 5,
-            ),
-            sc,
-            L=0.1,
-        )
-        for name in ("1/2 < p_beta", "p_beta < p_alpha", "p_alpha < p_gamma", "p_gamma < 1"):
-            assert rep.entry(name).satisfied
-
     def test_reports_are_pure(self, sc5):
         _, sc = sc5
         assert validate_s1(s1_reference(), sc, 0.1) == validate_s1(s1_reference(), sc, 0.1)
@@ -273,6 +250,22 @@ class TestBudgetFiniteness:
         rep = check_budget_finiteness(p)
         assert not rep.entry("p_m > max_i max(1/p_zeta, 1/p_eta)").satisfied
         assert rep.derived["tail_order"] == "O(K * (inf)^K)"
+
+    def test_sampling_count_that_never_grows_is_not_finite(self, sc5):
+        # Acceptance criterion 5's scheme with a4 = 0: m = 1 at every horizon.
+        gp, _ = sc5
+        base = dict(
+            a1=0.05, a2=0.4, a3=2.4, p_alpha=0.987, p_beta=0.69, p_gamma=0.997, p_m=2.0,
+            p_zeta=(0.1,) * 5, p_eta=(0.1,) * 5,
+        )
+        flat = S1Params(a4=0.0, **base)
+        assert all(rates_at(flat, K).m == 1.0 for K in (10, 10**3, 10**5))
+        rep = check_budget_finiteness(flat, gp)
+        assert not rep.entry("0 < a4").satisfied
+        assert not rep.overall
+        growing = check_budget_finiteness(S1Params(a4=4e-5, **base), gp)
+        assert growing.entry("0 < a4").satisfied
+        assert growing.overall
 
     def test_weight_caps_checked_with_graph(self):
         M = np.array([[0.0, 1.0], [1.0, 0.0]])
