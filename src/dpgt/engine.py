@@ -35,10 +35,13 @@ the seeds of a block together on (S, n, d) arrays through :func:`update`,
 with one gradient pass and one metrics pass per step for all of them.  Each
 seed keeps its own keyed draws, and every array operation acts on each seed's
 slice as it acts on one seed's arrays, so the bits equal those of :func:`run`
-seed after seed.  Small ensembles, such as the benchmark self-test's short
-runs, stay on :func:`run`, whose per-seed call structure the self-test counts.
-The keyed generator is one object per thread, so callers that run seeds on
-threads draw the same streams too.
+seed after seed.  A chunk checks the key ranges once and re-keys the thread's
+Philox directly for each seed (:func:`_rekeyed`), writing the draws into its
+arrays; :func:`run` keeps the reference calls, :func:`keyed_generator`,
+:func:`laplace_vector` and :func:`sample_indices`.  Small ensembles, such as
+the benchmark self-test's short runs, stay on :func:`run`, whose per-seed call
+structure the self-test counts.  The keyed generator is one object per
+thread, so callers that run seeds on threads draw the same streams too.
 """
 
 from __future__ import annotations
@@ -131,8 +134,12 @@ class DivergenceError(RuntimeError):
 _local = threading.local()
 
 
-def _new_slot() -> tuple[np.random.Generator, np.random.Philox, list[int], dict]:
-    """A generator, its Philox, and the key list inside the state dict that re-keys it."""
+def _slot() -> tuple[np.random.Generator, np.random.Philox, list[int], dict]:
+    """This thread's generator, its Philox, and the key list inside the state dict that re-keys it."""
+    try:
+        return _local.slot
+    except AttributeError:
+        pass
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     key = [0, 0]
     # Philox's state setter reads these entries by index, so plain lists
@@ -145,7 +152,13 @@ def _new_slot() -> tuple[np.random.Generator, np.random.Philox, list[int], dict]
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(bitgen), bitgen, key, state
+    _local.slot = np.random.Generator(bitgen), bitgen, key, state
+    return _local.slot
+
+
+def _word(agent: int, k: int, role: int) -> int:
+    """The second key word of (agent, iteration, role)."""
+    return (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
 
 
 def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Generator:
@@ -158,8 +171,9 @@ def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Gener
 
     The result is one generator shared by every keyed call in this thread,
     re-keyed in place and valid only until the next keyed call, so callers
-    draw from it at once and never hold it.  Returning the draws instead
-    (ROADMAP item 4) changes the call structure that the benchmark
+    draw from it at once and never hold it.  The lane loop of batched chunks,
+    :func:`_rekeyed`, re-keys the same generator.  Returning the draws
+    instead (ROADMAP item 5) changes the call structure that the benchmark
     self-test pins as a closed form for ``engine.keyed_generator.calls``,
     so that fix waits for a change that rewrites the closed form.
     """
@@ -169,14 +183,27 @@ def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Gener
         raise ConfigError(f"iteration index {k} outside key range")
     if not (0 <= role < 2**_KEY_ROLE_BITS):
         raise ConfigError(f"role {role} outside key range")
-    try:
-        gen, bitgen, key, state = _local.slot
-    except AttributeError:
-        gen, bitgen, key, state = _local.slot = _new_slot()
+    gen, bitgen, key, state = _slot()
     key[0] = seed % 2**64
-    key[1] = (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
+    key[1] = _word(agent, k, role)
     bitgen.state = state
     return gen
+
+
+def _rekeyed(keys: list[int], agent: int, k: int, role: int):
+    """:func:`keyed_generator` of each lane in turn, for keys ``seed % 2**64``, without its checks.
+
+    :func:`_run_lanes` checks the key ranges once for its chunk; per lane,
+    this only rewrites the two key words and resets the state.  Draw from
+    each generator before taking the next.
+    """
+    gen, bitgen, key, state = _slot()
+    word = _word(agent, k, role)
+    for seed_key in keys:
+        key[0] = seed_key
+        key[1] = word
+        bitgen.state = state
+        yield gen
 
 
 def laplace_vector(seed: int, agent: int, k: int, role: int, d: int, scale: float) -> np.ndarray:
@@ -217,21 +244,28 @@ def noise(seed: int, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, 
     not anyone listens, so streams stay aligned across topologies; a row whose
     scale is zero stays exactly zero.
     """
-    zeta, eta = _noise_lanes([seed], rates, k, n, d)
-    return zeta[0], eta[0]
+    zeta, eta = np.zeros((2, n, d))
+    for role, scales, block in (
+        (ROLE_ZETA, rates.sigma_zeta_all(k), zeta),
+        (ROLE_ETA, rates.sigma_eta_all(k), eta),
+    ):
+        for i in range(n):
+            if scales[i] > 0.0:
+                block[i] = laplace_vector(seed, i, k, role, d, scales[i])
+    return zeta, eta
 
 
-def _noise_lanes(seeds, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`noise` of each seed, stacked to (S, n, d) each."""
-    out = np.zeros((2, len(seeds), n, d))
+def _noise_lanes(keys: list[int], rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`noise` of each lane's seed, stacked to (S, n, d) each."""
+    out = np.zeros((2, len(keys), n, d))
     for role, scales, block in (
         (ROLE_ZETA, rates.sigma_zeta_all(k), out[0]),
         (ROLE_ETA, rates.sigma_eta_all(k), out[1]),
     ):
-        for i in range(n):
-            if scales[i] > 0.0:
-                for lane, seed in zip(block, seeds):
-                    lane[i] = laplace_vector(seed, i, k, role, d, scales[i])
+        for i, scale in enumerate(scales.tolist()):
+            if scale > 0.0:
+                for j, gen in enumerate(_rekeyed(keys, i, k, role)):
+                    block[j, i] = gen.laplace(0.0, scale, d)
     return out[0], out[1]
 
 
@@ -261,8 +295,21 @@ def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarr
     return out
 
 
-def _sampled_gradients_lanes(obj: Objective, seeds, x: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Each seed's sampled gradients at its states x[s] (S, n, d) for iteration k.
+def _index_lanes(keys: list[int], agent: int, k: int, D: int, m: int) -> np.ndarray:
+    """:func:`sample_indices` of each lane's seed, stacked to (S, m); the caller checks 1 <= m <= D."""
+    base = np.arange(D)
+    perm = np.empty_like(base)
+    head = perm[:m]
+    out = np.empty((len(keys), m), dtype=base.dtype)
+    for j, gen in enumerate(_rekeyed(keys, agent, k, ROLE_SAMPLES)):
+        perm[...] = base
+        gen.shuffle(perm)  # permutation(D) is this shuffle of a fresh arange
+        out[j] = head
+    return out
+
+
+def _sampled_gradients_lanes(obj: Objective, keys: list[int], x: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Each lane's sampled gradients at its states x[s] (S, n, d) for iteration k.
 
     One keyed draw per (seed, agent), as :func:`draw_indices` makes them, and
     one ``grad_batch`` call for every seed and agent; the reduction over the
@@ -270,7 +317,7 @@ def _sampled_gradients_lanes(obj: Objective, seeds, x: np.ndarray, k: int, m: in
     """
     xis = np.empty(x.shape[:2] + (m, obj.datasets[0].sample_dim))
     for i, ds in enumerate(obj.datasets):
-        xis[:, i] = ds.samples[np.stack([sample_indices(s, i, k, ds.size, m) for s in seeds])]
+        xis[:, i] = ds.samples[_index_lanes(keys, i, k, ds.size, m)]
     out = np.add.reduce(obj.grad_batch(x, xis), axis=-2)
     out /= m
     return out
@@ -512,21 +559,26 @@ def _run_lanes(
     S, n, d, m = len(seeds), gp.n, obj.dim, rates.m_int
     if len(obj.datasets) != n or (x0 is not None and np.shape(x0) != (n, d)):
         raise ConfigError("the agent count or the shape of x0 does not fit; run names which")
+    # keyed_generator's key-range checks, once for every lane's draws;
+    # run_block's _checked_rates already bounds m to 1 <= m <= D.
+    if not (n <= 2**_KEY_AGENT_BITS and K + 1 < 2**_KEY_ITER_BITS):
+        raise ConfigError("a key is out of range; run names which")
+    keys = [s % 2**64 for s in seeds]
     if x0 is None:
         x = np.stack([draw_x0(s, n, d) for s in seeds])
     else:
         x = np.repeat(np.asarray(x0, dtype=float)[None], S, axis=0)
     f_star = obj.F_star if obj.F_star is not None else 0.0
-    g = _sampled_gradients_lanes(obj, seeds, x, 0, m)
+    g = _sampled_gradients_lanes(obj, keys, x, 0, m)
     y = g.copy()
     v = np.empty((S, K + 2, 3))
     grad_norm_sq = np.empty((S, K + 1, n))
     v[:, 0, 0], v[:, 0, 1], _, v[:, 0, 2] = _metrics(x, y, sc, obj, f_star)
     for k in range(K + 1):
-        zeta, eta = _noise_lanes(seeds, rates, k, n, d)
+        zeta, eta = _noise_lanes(keys, rates, k, n, d)
         x, y, g = update(
             x, y, g, x + zeta, y + eta,
-            lambda x_next: _sampled_gradients_lanes(obj, seeds, x_next, k + 1, m), rates, gp, k,
+            lambda x_next: _sampled_gradients_lanes(obj, keys, x_next, k + 1, m), rates, gp, k,
         )
         v[:, k + 1, 0], v[:, k + 1, 1], grad_norm_sq[:, k], v[:, k + 1, 2] = _metrics(x, y, sc, obj, f_star)
     ks = np.arange(1, K + 2)

@@ -74,14 +74,16 @@ def loop_budget(dx, dy, scheme, K):
     rates = rates_at(scheme, K)
     n = dx.shape[0]
     inc = np.zeros((n, K + 1))
-    for i in range(n):
-        for k in range(K + 1):
-            total = 0.0
-            for sens, scale in ((dx[i, k], rates.sigma_zeta(i, k)), (dy[i, k], rates.sigma_eta(i, k))):
-                if sens == 0.0:
-                    continue
-                total += sens / scale if scale > 0.0 else math.inf
-            inc[i, k] = total
+    # An overflowing quotient is inf, as in epsilon's own divide.
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            for k in range(K + 1):
+                total = 0.0
+                for sens, scale in ((dx[i, k], rates.sigma_zeta(i, k)), (dy[i, k], rates.sigma_eta(i, k))):
+                    if sens == 0.0:
+                        continue
+                    total += sens / scale if scale > 0.0 else math.inf
+                inc[i, k] = total
     return inc, inc.sum(axis=1)
 
 

@@ -812,3 +812,108 @@ class TestBatchedEnsemble:
             want = engine._metrics(x[s], y[s], sc, obj, obj.F_star)
             for g, w in zip(got, want):
                 assert np.asarray(g[s]).tobytes() == np.asarray(w, dtype=float).tobytes()
+
+
+class _Scales:
+    """The two noise-scale columns of a Rates, fixed for every iteration."""
+
+    def __init__(self, zeta, eta):
+        self.zeta, self.eta = np.array(zeta), np.array(eta)
+
+    def sigma_zeta_all(self, k):
+        return self.zeta
+
+    def sigma_eta_all(self, k):
+        return self.eta
+
+
+lane_seeds = hst.lists(
+    hst.one_of(hst.sampled_from([0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**70 + 3]), hst.integers(0, 2**70)),
+    min_size=1, max_size=4,
+)
+# Zero rows, scales whose Laplace products are subnormal or flush to zero, and ordinary ones.
+lane_scales = hst.one_of(
+    hst.just(0.0), hst.sampled_from([5e-324, 1e-310, 2.2e-308, 1e-300]), hst.floats(1e-3, 1e3),
+)
+
+
+def leave_partial_state(before: str) -> None:
+    """A per-seed keyed draw that leaves the shared generator mid-buffer or with a spare uint32."""
+    gen = keyed_generator(123, 4, 5, 1)
+    if before == "partial buffer":
+        gen.random(3)
+    elif before == "spare uint32":
+        gen.integers(0, 10, size=1, dtype=np.int32)
+
+
+class TestLaneDraws:
+    """The lane loop of batched chunks against the per-seed keyed draws, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=lane_seeds,
+        k=hst.integers(0, 2**40 - 1),
+        d=hst.sampled_from([1, 10]),
+        scales=hst.lists(hst.tuples(lane_scales, lane_scales), min_size=1, max_size=3),
+        before=hst.sampled_from(["nothing", "partial buffer", "spare uint32"]),
+    )
+    def test_noise_lanes_equal_laplace_vector(self, seeds, k, d, scales, before):
+        n = len(scales)
+        rates = _Scales(*zip(*scales))
+        want = np.zeros((2, len(seeds), n, d))
+        for j, seed in enumerate(seeds):
+            for i, (sz, se) in enumerate(scales):
+                want[0, j, i] = laplace_vector(seed, i, k, engine.ROLE_ZETA, d, sz)
+                want[1, j, i] = laplace_vector(seed, i, k, engine.ROLE_ETA, d, se)
+        leave_partial_state(before)
+        got = engine._noise_lanes([s % 2**64 for s in seeds], rates, k, n, d)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+        for i, (sz, se) in enumerate(scales):
+            for g, scale in ((got[0], sz), (got[1], se)):
+                if scale == 0.0:
+                    assert not np.signbit(g[:, i]).any() and not g[:, i].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=lane_seeds,
+        agent=hst.one_of(hst.just(2**16 - 1), hst.integers(0, 2**16 - 1)),
+        k=hst.one_of(hst.just(2**40 - 1), hst.integers(0, 2**40 - 1)),
+        D=hst.sampled_from([1, 2, 200, 2**14 + 1]),
+        full=hst.booleans(),
+        before=hst.sampled_from(["nothing", "partial buffer", "spare uint32"]),
+    )
+    def test_index_lanes_equal_sample_indices(self, seeds, agent, k, D, full, before):
+        m = D if full else 1
+        want = np.stack([sample_indices(s, agent, k, D, m) for s in seeds])
+        leave_partial_state(before)
+        got = engine._index_lanes([s % 2**64 for s in seeds], agent, k, D, m)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_lane_drawn_between_per_seed_draws(self):
+        # A per-seed draw inside the lane loop re-keys the shared generator;
+        # the next lane still draws its own stream.
+        keys = [3, 2**64 - 1, 11]
+        got = []
+        for gen in engine._rekeyed(keys, 7, 9, engine.ROLE_SAMPLES):
+            got.append(gen.permutation(50))
+            keyed_generator(1, 2, 3, 1).integers(0, 10, size=1, dtype=np.int32)
+        want = [keyed_generator(s, 7, 9, engine.ROLE_SAMPLES).permutation(50) for s in keys]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("bits, value", [("_KEY_ITER_BITS", 4), ("_KEY_AGENT_BITS", 2)])
+    def test_key_range_failure_raises_runs_error(self, monkeypatch, bits, value):
+        # Keys beyond a narrowed field: the chunk's hoisted check fails, and
+        # the ensemble raises the error run raises at the first such key.
+        gp = five_node_pair()
+        obj = quad_objective()
+        monkeypatch.setattr(engine, bits, value)
+        with pytest.raises(ConfigError) as serial:
+            run(gp, s2(), obj, K=20, seed=3)
+        batches = batch_on(monkeypatch)
+        with pytest.raises(ConfigError) as batched:
+            run_ensemble(gp, s2(), obj, K=20, seeds=[3, 4, 5])
+        assert batches == [[3, 4, 5]]
+        assert str(batched.value) == str(serial.value)
+        assert "outside key range" in str(serial.value)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgt.graphs import build_graph_pair
 from dpgt.objectives import (
@@ -239,6 +241,71 @@ class TestEpsilon:
         assert continuous < turnover < 3 * continuous
         tail = eps_by_K[turnover:]
         assert all(b < a for a, b in zip(tail, tail[1:]))
+
+
+@st.composite
+def rooted_budget_instances(draw):
+    """A small pair rooted at agent 0 and an S1 or S2 scheme whose budget stays finite and normal."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = np.zeros((n, n))
+    C = np.zeros((n, n))
+    for i in range(1, n):  # a tree from agent 0 in each graph
+        R[i, rng.integers(0, i)] = rng.uniform(0.1, 1.0)
+        C[rng.integers(0, i), i] = rng.uniform(0.1, 1.0)
+    extra = rng.random((2, n, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    np.fill_diagonal(extra[0], False)
+    np.fill_diagonal(extra[1], False)
+    R[extra[0]] = rng.uniform(0.1, 1.0, extra[0].sum())
+    C[extra[1]] = rng.uniform(0.1, 1.0, extra[1].sum())
+    steps = st.floats(1e-3, 1.0)
+    if draw(st.booleans()):
+        noise = st.floats(-2.0, 2.0)
+        scheme = S1Params(
+            a1=draw(steps), a2=draw(steps), a3=draw(steps), a4=draw(st.floats(1e-3, 10.0)),
+            p_alpha=draw(st.floats(0.05, 2.0)), p_beta=draw(st.floats(0.05, 2.0)),
+            p_gamma=draw(st.floats(0.05, 2.0)), p_m=draw(st.floats(0.0, 3.0)),
+            p_zeta=tuple(draw(noise) for _ in range(n)), p_eta=tuple(draw(noise) for _ in range(n)),
+        )
+    else:
+        noise = st.floats(0.5, 0.99)
+        scheme = S2Params(
+            alpha=draw(steps), beta=draw(steps), gamma=draw(steps), p_m=draw(st.floats(1.0, 3.0)),
+            p_zeta=tuple(draw(noise) for _ in range(n)), p_eta=tuple(draw(noise) for _ in range(n)),
+        )
+    return build_graph_pair(R, C), scheme, draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 200))
+
+
+class TestBudgetLinearity:
+    """The budget is linear in the adjacency constant: exactly so for powers of two."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rooted_budget_instances(), st.integers(-20, 20), st.floats(1e-2, 1e2))
+    def test_budget_scales_with_the_adjacency_constant(self, inst, j, factor):
+        gp, scheme, C, K = inst
+        eps = epsilon(sensitivity_trace(gp, scheme, C, K), scheme, K).eps
+        assert np.isfinite(eps).all()
+        doubled = epsilon(sensitivity_trace(gp, scheme, 2.0**j * C, K), scheme, K).eps
+        assert np.array_equal(doubled, 2.0**j * eps)
+        scaled = epsilon(sensitivity_trace(gp, scheme, factor * C, K), scheme, K).eps
+        np.testing.assert_allclose(scaled, factor * eps, rtol=1e-12, atol=0.0)
+
+    def test_powers_of_two_on_criterion_5s_scheme(self):
+        rng = np.random.default_rng(7)
+        R = rng.uniform(0.15, 0.25, (5, 5))
+        np.fill_diagonal(R, 0.0)
+        Cm = rng.uniform(0.15, 0.25, (5, 5))
+        np.fill_diagonal(Cm, 0.0)
+        gp = build_graph_pair(R, Cm)
+        scheme = S1Params(
+            a1=0.05, a2=0.4, a3=2.4, a4=4e-5, p_alpha=0.987, p_beta=0.69, p_gamma=0.997,
+            p_m=2.0, p_zeta=(0.1,) * 5, p_eta=(0.1,) * 5,
+        )
+        K = 2 * 10**4
+        eps = epsilon(sensitivity_trace(gp, scheme, 1.0, K), scheme, K).eps
+        for j in (-7, 1, 5):
+            got = epsilon(sensitivity_trace(gp, scheme, 2.0**j, K), scheme, K).eps
+            assert np.array_equal(got, 2.0**j * eps)
 
 
 class TestCoupledRuns:
