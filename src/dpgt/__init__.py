@@ -22,6 +22,7 @@ from .schemes import (
     check_budget_finiteness,
     rates_at,
     theta,
+    validate,
     validate_s1,
     validate_s2,
 )

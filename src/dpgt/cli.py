@@ -3,7 +3,9 @@
 Subcommands: analyze-graph, gen-data, validate-scheme, run, privacy-budget,
 bound-check, sweep.  Ensembles choose serial or forked-process execution
 themselves, from their estimated size and the available cores (see
-``engine.run_ensemble``).
+``engine.run_ensemble``).  The exit status is 0 on success, 1 when
+validate-scheme finds an inequality violated, and 2 when an input is
+rejected, with one line on stderr naming why.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .objectives import (
 )
 from .privacy import epsilon, sensitivity_trace
 from .recursion import ObjectiveConstants, build_model, contraction_check, dominance_check
-from .schemes import S1Params, validate_s1, validate_s2
+from .schemes import validate
 
 
 def _print_json(doc) -> None:
@@ -78,11 +80,7 @@ def _cmd_validate_scheme(args) -> int:
     gp = configio.graph_from_dict(configio.load_json(args.graph))
     scheme = configio.scheme_from_dict(configio.load_json(args.scheme))
     obj = configio.objective_from_dict(configio.load_json(args.objective), Path(args.objective).parent)
-    sc = spectral_constants(gp)
-    if isinstance(scheme, S1Params):
-        report = validate_s1(scheme, sc, obj.L1_smooth)
-    else:
-        report = validate_s2(scheme, sc, obj.L1_smooth, obj.mu)
+    report = validate(scheme, spectral_constants(gp), obj.L1_smooth, obj.mu)
     _print_json(report.to_dict())
     return 0 if report.overall else 1
 
@@ -223,8 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; input that it rejects exits with status 2 and one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"dpgt {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

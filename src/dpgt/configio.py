@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -20,7 +21,7 @@ from .objectives import (
     make_quadratic,
     make_trig,
 )
-from .schemes import S1Params, S2Params, SchemeParams
+from .schemes import SCHEME_KINDS, SchemeParams
 
 SCHEMA_VERSION = 1
 
@@ -85,41 +86,19 @@ def graph_from_dict(doc: dict) -> GraphPair:
 
 def scheme_to_dict(p: SchemeParams) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "kind": p.kind}
-    if isinstance(p, S1Params):
-        doc.update(
-            a1=p.a1, a2=p.a2, a3=p.a3, a4=p.a4,
-            p_alpha=p.p_alpha, p_beta=p.p_beta, p_gamma=p.p_gamma, p_m=p.p_m,
-            p_zeta=list(p.p_zeta), p_eta=list(p.p_eta),
-        )
-    else:
-        doc.update(
-            alpha=p.alpha, beta=p.beta, gamma=p.gamma, p_m=p.p_m,
-            p_zeta=list(p.p_zeta), p_eta=list(p.p_eta),
-        )
+    for f in dataclasses.fields(p):
+        value = getattr(p, f.name)
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
     return doc
-
-
-_SCHEME_KEYS = {
-    "S1": ("a1", "a2", "a3", "a4", "p_alpha", "p_beta", "p_gamma", "p_m", "p_zeta", "p_eta"),
-    "S2": ("alpha", "beta", "gamma", "p_m", "p_zeta", "p_eta"),
-}
 
 
 def scheme_from_dict(doc: dict) -> SchemeParams:
     kind = doc.get("kind")
-    if kind not in _SCHEME_KEYS:
+    if kind not in SCHEME_KINDS:
         raise ValueError(f"scheme: unknown kind {kind!r}")
-    check_document(doc, f"{kind} scheme", ("kind",) + _SCHEME_KEYS[kind])
-    if kind == "S1":
-        return S1Params(
-            a1=doc["a1"], a2=doc["a2"], a3=doc["a3"], a4=doc["a4"],
-            p_alpha=doc["p_alpha"], p_beta=doc["p_beta"], p_gamma=doc["p_gamma"],
-            p_m=doc["p_m"], p_zeta=tuple(doc["p_zeta"]), p_eta=tuple(doc["p_eta"]),
-        )
-    return S2Params(
-        alpha=doc["alpha"], beta=doc["beta"], gamma=doc["gamma"], p_m=doc["p_m"],
-        p_zeta=tuple(doc["p_zeta"]), p_eta=tuple(doc["p_eta"]),
-    )
+    names = [f.name for f in dataclasses.fields(SCHEME_KINDS[kind])]
+    check_document(doc, f"{kind} scheme", ["kind", *names])
+    return SCHEME_KINDS[kind](**{k: tuple(doc[k]) if isinstance(doc[k], list) else doc[k] for k in names})
 
 
 def dataset_to_dict(ds: Dataset) -> dict:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .graphs import GraphPair, SpectralConstants, spectral_constants
 from .objectives import Objective
-from .schemes import Rates, SchemeParams, rates_at
+from .schemes import Rates, SchemeParams, check_agent_count, rates_at
 
 __all__ = [
     "EngineState",
@@ -245,10 +245,7 @@ def noise(seed: int, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, 
     scale is zero stays exactly zero.
     """
     zeta, eta = np.zeros((2, n, d))
-    for role, scales, block in (
-        (ROLE_ZETA, rates.sigma_zeta_all(k), zeta),
-        (ROLE_ETA, rates.sigma_eta_all(k), eta),
-    ):
+    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), rates.sigma_cols(k), (zeta, eta)):
         for i in range(n):
             if scales[i] > 0.0:
                 block[i] = laplace_vector(seed, i, k, role, d, scales[i])
@@ -258,11 +255,8 @@ def noise(seed: int, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, 
 def _noise_lanes(keys: list[int], rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`noise` of each lane's seed, stacked to (S, n, d) each."""
     out = np.zeros((2, len(keys), n, d))
-    for role, scales, block in (
-        (ROLE_ZETA, rates.sigma_zeta_all(k), out[0]),
-        (ROLE_ETA, rates.sigma_eta_all(k), out[1]),
-    ):
-        for i, scale in enumerate(scales.tolist()):
+    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), rates.sigma_cols(k), out):
+        for i, scale in enumerate(scales):
             if scale > 0.0:
                 for j, gen in enumerate(_rekeyed(keys, i, k, role)):
                     block[j, i] = gen.laplace(0.0, scale, d)
@@ -483,10 +477,11 @@ def _metrics(
     return cx, cy, grads, gap
 
 
-def _checked_rates(scheme: SchemeParams, obj: Objective, K: int, noise_off: bool) -> Rates:
-    """The schedule at horizon K, refused when its sampling count exceeds a dataset."""
+def _checked_rates(gp: GraphPair, scheme: SchemeParams, obj: Objective, K: int, noise_off: bool) -> Rates:
+    """The schedule at horizon K, refused for another agent count or a sampling count above a dataset's size."""
     if K < 0:
         raise ConfigError("K must be nonnegative")
+    check_agent_count(scheme, gp.n)
     rates = rates_at(scheme, K)
     if noise_off:
         rates = replace(rates, noise_off=True)
@@ -513,7 +508,7 @@ def run(
     ``noise_off`` zeroes every perturbation while keeping all other streams
     (initial states, index draws) identical; this is the baseline mode.
     """
-    rates = _checked_rates(scheme, obj, K, noise_off)
+    rates = _checked_rates(gp, scheme, obj, K, noise_off)
     if sc is None:
         sc = spectral_constants(gp)
     f_star = obj.F_star if obj.F_star is not None else 0.0
@@ -742,7 +737,7 @@ def run_ensemble(
         if not batched or len(block) == 1:
             return run_seeds(block)
         try:
-            rates = _checked_rates(scheme, obj, K, noise_off)
+            rates = _checked_rates(gp, scheme, obj, K, noise_off)
         except Exception:
             return run_seeds(block)
         size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * rates.m_int))

@@ -22,15 +22,7 @@ from .engine import EnsembleResult, run_ensemble
 from .graphs import GraphPair, spectral_constants
 from .objectives import Objective
 from .privacy import BudgetReport, epsilon, sensitivity_trace, swap_bound
-from .schemes import (
-    S1Params,
-    S2Params,
-    SchemeParams,
-    check_budget_finiteness,
-    rates_at,
-    validate_s1,
-    validate_s2,
-)
+from .schemes import SchemeParams, check_budget_finiteness, rates_at, validate
 
 __all__ = [
     "RateFit",
@@ -225,10 +217,7 @@ def write_trace_csv(path, ens: EnsembleResult, eps_increments: np.ndarray | None
 
 
 def _validate(scheme: SchemeParams, sc, obj: Objective, force: bool) -> dict:
-    if isinstance(scheme, S1Params):
-        report = validate_s1(scheme, sc, obj.L1_smooth)
-    else:
-        report = validate_s2(scheme, sc, obj.L1_smooth, obj.mu)
+    report = validate(scheme, sc, obj.L1_smooth, obj.mu)
     if not report.overall and not force:
         failing = [e.name for e in report.entries if not e.satisfied]
         raise ValidatorFailure(f"scheme fails admissibility checks: {failing}")
@@ -283,9 +272,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             entry["eps_per_agent"] = budget.eps.tolist()
             entry["eps_max"] = budget.eps_max
             entry["eps_tail_order"] = budget.tail_order
-        model = "exponential" if isinstance(scheme, S2Params) else "power"
         try:
-            fit = fit_rate(np.arange(1, K + 2), ens.mean_max_grad, model=model)
+            fit = fit_rate(np.arange(1, K + 2), ens.mean_max_grad, model=scheme.fit_model)
             entry["within_horizon_fit"] = dataclasses.asdict(fit)
         except FitError as exc:
             entry["within_horizon_fit"] = {"error": str(exc)}

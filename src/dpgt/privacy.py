@@ -41,7 +41,7 @@ import numpy as np
 from .engine import draw_indices, draw_x0, noise, sampled_gradients, update
 from .graphs import GraphPair
 from .objectives import Dataset, Objective
-from .schemes import SchemeParams, ValidationReport, check_budget_finiteness, rates_at
+from .schemes import SchemeParams, ValidationReport, check_agent_count, check_budget_finiteness, rates_at
 
 __all__ = [
     "AdjacencyError",
@@ -141,6 +141,7 @@ def sensitivity_trace(gp: GraphPair, scheme: SchemeParams, C: float, K: int) -> 
     """
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"adjacency constant C must be finite and positive, got {C!r}")
+    check_agent_count(scheme, gp.n)
     rates = rates_at(scheme, K)
     n = gp.n
     inv_m = 0.0 if not math.isfinite(rates.m) else 1.0 / rates.m
@@ -184,6 +185,7 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
     """
     if trace.K != K:
         raise ValueError(f"trace horizon {trace.K} does not match K={K}")
+    check_agent_count(scheme, trace.gp.n)
     rates = rates_at(scheme, K)
     n = trace.dx.shape[0]
     inc = np.zeros((n, K + 1))
@@ -251,6 +253,7 @@ def coupled_pair_run(
             raise
     forbid = forbid or {}
 
+    check_agent_count(scheme, n)
     rates = rates_at(scheme, K)
     m = rates.m_int
     x0 = draw_x0(seed, n, d) if x0 is None else np.asarray(x0, dtype=float)
@@ -381,9 +384,10 @@ def micro_dp_check(
         for k in range(K + 1):
             zeta = np.empty((trials, n, 1))
             eta = np.empty((trials, n, 1))
+            scales_zeta, scales_eta = rates.sigma_cols(k)
             for i in range(n):
-                zeta[:, i, 0] = rng.laplace(0.0, rates.sigma_zeta(i, k), size=trials)
-                eta[:, i, 0] = rng.laplace(0.0, rates.sigma_eta(i, k), size=trials)
+                zeta[:, i, 0] = rng.laplace(0.0, scales_zeta[i], size=trials)
+                eta[:, i, 0] = rng.laplace(0.0, scales_eta[i], size=trials)
             xb, yb = x + zeta, y + eta
             obs[:, 2 * k] = xb[:, agent, 0]
             obs[:, 2 * k + 1] = yb[:, agent, 0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import SpectralConstants
-from .schemes import SchemeParams, rates_at
+from .schemes import SchemeParams, check_agent_count, rates_at
 
 __all__ = [
     "ObjectiveConstants",
@@ -86,6 +86,7 @@ def build_model(
     Preconditions: the horizon's step sizes must sit below the mixing caps and
     gamma below n / (4 (v1.v2) L); violations are reported with the failing cap.
     """
+    check_agent_count(scheme, sc.n)
     rates = rates_at(scheme, K)
     a, b, c = rates.alpha, rates.beta, rates.gamma
     n = sc.n
@@ -126,8 +127,7 @@ def build_model(
     u = np.empty((K + 1, 3))
     eta_cum = 0.0  # sum over l < k of max_i sigma_eta(i, l)^2
     for k in range(K + 1):
-        z2 = float(rates.sigma_zeta_all(k).max()) ** 2
-        e2 = float(rates.sigma_eta_all(k).max()) ** 2
+        z2, e2 = (float(max(scales)) ** 2 for scales in rates.sigma_cols(k))
         u[k, 0] = (
             2.0 * n * d * rhoR2 * a**2 * z2
             + 2.0 * (1.0 + ra) * nv2**2 * c**2 * sg2 * inv_m / (n**2 * ra)

@@ -12,9 +12,14 @@ within a run and change only across horizons.
   S2  alpha, beta, gamma constant, m_K = floor(p_m^K) + 1,
       noise scales sigma_k = p^K per agent (constant in k, shrinking in K).
 
+This is the only module that tells the two apart.  :func:`rates_at` turns
+either into one :class:`Rates`, whose noise schedule is data: per role and
+agent, sigma_{i,k} = c_i * (k+1)^{q_i}, with c = 1, q = p under S1 and
+c = p^K, q = 0 under S2 (both exact, as 1.0 * x == x and x**0.0 == 1.0).
 ``validate_s1`` / ``validate_s2`` evaluate every admissibility inequality
 against the spectral constants of a graph pair and the gradient smoothness
-constant, recording numeric lhs/rhs so near-misses are visible.
+constant, recording numeric lhs/rhs so near-misses are visible; ``validate``
+picks the one that fits a scheme.
 ``check_budget_finiteness`` evaluates the separate conditions under which the
 cumulative privacy budget stays finite as K grows without bound.
 """
@@ -22,9 +27,9 @@ cumulative privacy budget stays finite as K grows without bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -34,10 +39,13 @@ __all__ = [
     "S1Params",
     "S2Params",
     "SchemeParams",
+    "SCHEME_KINDS",
     "Rates",
     "InequalityCheck",
     "ValidationReport",
     "rates_at",
+    "check_agent_count",
+    "validate",
     "validate_s1",
     "validate_s2",
     "theta",
@@ -61,7 +69,8 @@ class S1Params:
     p_m: float
     p_zeta: tuple[float, ...]
     p_eta: tuple[float, ...]
-    kind: str = field(default="S1", init=False)
+    kind: ClassVar[str] = "S1"
+    fit_model: ClassVar[str] = "power"  # how a run's gradient norm decays within its horizon
 
     def __post_init__(self):
         if min(self.a1, self.a2, self.a3) <= 0 or self.a4 < 0:
@@ -86,7 +95,8 @@ class S2Params:
     p_m: float
     p_zeta: tuple[float, ...]
     p_eta: tuple[float, ...]
-    kind: str = field(default="S2", init=False)
+    kind: ClassVar[str] = "S2"
+    fit_model: ClassVar[str] = "exponential"
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) <= 0 or self.p_m < 0:
@@ -104,58 +114,51 @@ class S2Params:
 SchemeParams = Union[S1Params, S2Params]
 
 
+SCHEME_KINDS = {cls.kind: cls for cls in (S1Params, S2Params)}
+
+
 @dataclass(frozen=True)
 class Rates:
-    """Realized schedule at one horizon K."""
+    """Realized schedule at one horizon K.
 
-    kind: str
+    Noise scale of agent i at iteration k: c[r][i] * (k+1)**q[r][i], for the
+    state role r = 0 (zeta) and the tracking role r = 1 (eta).
+    """
+
     K: int
     alpha: float
     beta: float
     gamma: float
     m: float  # math.inf when the sampling count overflows the float range
-    _sigma_zeta: tuple[float, ...]  # S2: constants; S1: unused
-    _sigma_eta: tuple[float, ...]
-    _p_zeta: tuple[float, ...]
-    _p_eta: tuple[float, ...]
+    c: tuple[tuple[float, ...], tuple[float, ...]]
+    q: tuple[tuple[float, ...], tuple[float, ...]]
     noise_off: bool = False
 
-    def sigma_zeta(self, agent: int, k: int) -> float:
+    def sigma_cols(self, k: int) -> tuple[list[float], list[float]]:
+        """Every agent's sigma_zeta and sigma_eta at iteration k."""
         if self.noise_off:
-            return 0.0
-        if self.kind == "S1":
-            return (k + 1.0) ** self._p_zeta[agent]
-        return self._sigma_zeta[agent]
-
-    def sigma_eta(self, agent: int, k: int) -> float:
-        if self.noise_off:
-            return 0.0
-        if self.kind == "S1":
-            return (k + 1.0) ** self._p_eta[agent]
-        return self._sigma_eta[agent]
+            return [0.0] * len(self.c[0]), [0.0] * len(self.c[1])
+        base = k + 1.0
+        zeta, eta = ([ci * base**qi for ci, qi in zip(c, q)] for c, q in zip(self.c, self.q))
+        return zeta, eta
 
     def sigma_rows(self, agent: int, ks: range) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_zeta(agent, k)`` and ``sigma_eta(agent, k)`` for k in a step-1 range, bit for bit.
+        """The agent's entries of :meth:`sigma_cols` for k in a step-1 range, bit for bit.
 
-        S1 powers stay Python floats, since ``np.power`` can differ from
-        ``**`` in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.
+        Powers stay Python floats, since ``np.power`` can differ from ``**``
+        in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.  A zero
+        exponent leaves c exactly, with no powers to take.
         """
         if self.noise_off:
             return np.zeros(len(ks)), np.zeros(len(ks))
-        if self.kind == "S2":
-            return (np.full(len(ks), self._sigma_zeta[agent]),
-                    np.full(len(ks), self._sigma_eta[agent]))
-        bases = range(ks.start + 1, ks.stop + 1)
-        return tuple(
-            np.fromiter(map(pow, map(float, bases), repeat(p)), float, len(ks))
-            for p in (self._p_zeta[agent], self._p_eta[agent])
+        zeta, eta = (
+            np.full(len(ks), c[agent]) if q[agent] == 0.0
+            else c[agent] * np.fromiter(
+                map(pow, map(float, range(ks.start + 1, ks.stop + 1)), repeat(q[agent])), float, len(ks)
+            )
+            for c, q in zip(self.c, self.q)
         )
-
-    def sigma_zeta_all(self, k: int) -> np.ndarray:
-        return np.array([self.sigma_zeta(i, k) for i in range(len(self._p_zeta))])
-
-    def sigma_eta_all(self, k: int) -> np.ndarray:
-        return np.array([self.sigma_eta(i, k) for i in range(len(self._p_eta))])
+        return zeta, eta
 
     @property
     def m_int(self) -> int:
@@ -176,6 +179,7 @@ def rates_at(params: SchemeParams, K: int) -> Rates:
     """Step sizes, sampling count, and noise schedules for horizon K."""
     if K < 0:
         raise ValueError("horizon K must be nonnegative")
+    n = params.n_agents
     if isinstance(params, S1Params):
         kp1 = (K + 1.0)
         try:
@@ -186,31 +190,31 @@ def rates_at(params: SchemeParams, K: int) -> Rates:
         scaled = params.a4 * growth if params.a4 > 0 else 0.0
         m = math.floor(scaled) + 1 if math.isfinite(scaled) else math.inf
         return Rates(
-            kind="S1",
             K=K,
             alpha=params.a1 / kp1**params.p_alpha,
             beta=params.a2 / kp1**params.p_beta,
             gamma=params.a3 / kp1**params.p_gamma,
             m=float(m),
-            _sigma_zeta=(),
-            _sigma_eta=(),
-            _p_zeta=params.p_zeta,
-            _p_eta=params.p_eta,
+            c=((1.0,) * n,) * 2,
+            q=(params.p_zeta, params.p_eta),
         )
     growth = _power_int(params.p_m, K)
     m = math.floor(growth) + 1 if math.isfinite(growth) else math.inf
     return Rates(
-        kind="S2",
         K=K,
         alpha=params.alpha,
         beta=params.beta,
         gamma=params.gamma,
         m=float(m),
-        _sigma_zeta=tuple(_power_int(p, K) for p in params.p_zeta),
-        _sigma_eta=tuple(_power_int(p, K) for p in params.p_eta),
-        _p_zeta=params.p_zeta,
-        _p_eta=params.p_eta,
+        c=tuple(tuple(float(_power_int(p, K)) for p in ps) for ps in (params.p_zeta, params.p_eta)),
+        q=((0.0,) * n,) * 2,
     )
+
+
+def check_agent_count(params: SchemeParams, n: int) -> None:
+    """Refuse a scheme whose per-agent noise exponents do not fit an n-agent graph pair."""
+    if params.n_agents != n:
+        raise ValueError(f"the scheme has {params.n_agents} agents, the graph pair {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +277,15 @@ def validate_s1(params: S1Params, sc: SpectralConstants, L: float) -> Validation
     """
     if params.kind != "S1":
         raise TypeError("expected S1 parameters")
+    check_agent_count(params, sc.n)
     pz = max(max(params.p_zeta), 0.0)
     pe = max(max(params.p_eta), 0.0)
     entries = (
         _lt("a1 < alpha_cap", params.a1, sc.alpha_cap),
         _lt("a2 < beta_cap", params.a2, sc.beta_cap),
         _lt("a3 < n/(4 v1v2 L)", params.a3, sc.n / (4.0 * sc.v1_dot_v2 * L)),
+        # With a4 = 0 the sampling count stays at 1 and p_m - p_beta does not apply.
+        _lt("0 < a4", 0.0, params.a4),
         _lt("1/2 < p_beta", 0.5, params.p_beta),
         _lt("p_beta < p_alpha", params.p_beta, params.p_alpha),
         _lt("p_alpha < p_gamma", params.p_alpha, params.p_gamma),
@@ -328,6 +335,7 @@ def validate_s2(
     """Every S2 admissibility inequality, with the gamma-cap multipliers attached."""
     if params.kind != "S2":
         raise TypeError("expected S2 parameters")
+    check_agent_count(params, sc.n)
     q1, q2 = q_caps(sc, L, mu)
     alpha_extra = (
         math.sqrt(2.0) * sc.v1_dot_v2 * sc.r2 * params.beta / (12.0 * sc.rhoL1 * sc.norm_v1 * L)
@@ -349,6 +357,13 @@ def validate_s2(
         _lt("1 < p_m", 1.0, params.p_m),
     )
     return ValidationReport(entries=entries, derived={"Q1": q1, "Q2": q2})
+
+
+def validate(params: SchemeParams, sc: SpectralConstants, L: float, mu: float) -> ValidationReport:
+    """The admissibility report of either kind; the S1 conditions do not involve mu."""
+    if isinstance(params, S1Params):
+        return validate_s1(params, sc, L)
+    return validate_s2(params, sc, L, mu)
 
 
 def theta(params: S1Params) -> float:

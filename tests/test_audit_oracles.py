@@ -69,9 +69,14 @@ def rolling_sensitivity(gp, scheme, C, K):
     return dx, dy
 
 
+# The noise scale of exponent or base p at iteration k of a horizon-K run,
+# written from each scheme's definition rather than read from its Rates.
+SCHEME_SIGMA = {S1Params: lambda p, k, K: (k + 1.0) ** p, S2Params: lambda p, k, K: p**K}
+
+
 def loop_budget(dx, dy, scheme, K):
     """(increments, eps) by the per-entry loop of the Laplace composition."""
-    rates = rates_at(scheme, K)
+    sigma = SCHEME_SIGMA[type(scheme)]
     n = dx.shape[0]
     inc = np.zeros((n, K + 1))
     # An overflowing quotient is inf, as in epsilon's own divide.
@@ -79,7 +84,8 @@ def loop_budget(dx, dy, scheme, K):
         for i in range(n):
             for k in range(K + 1):
                 total = 0.0
-                for sens, scale in ((dx[i, k], rates.sigma_zeta(i, k)), (dy[i, k], rates.sigma_eta(i, k))):
+                for sens, p in ((dx[i, k], scheme.p_zeta[i]), (dy[i, k], scheme.p_eta[i])):
+                    scale = sigma(p, k, K)
                     if sens == 0.0:
                         continue
                     total += sens / scale if scale > 0.0 else math.inf
@@ -214,7 +220,7 @@ class TestAccountantOracle:
         # p_m = 1e300, m is infinite and every bound is 0.
         gp = build_graph_pair(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [4.0, 0.0]]))
         scheme = S2Params(alpha=1.0, beta=1.0, gamma=0.5, p_m=p_m, p_zeta=(1e-200, 0.9), p_eta=(0.9, 0.9))
-        assert rates_at(scheme, K).sigma_zeta(0, 0) == 0.0
+        assert rates_at(scheme, K).sigma_cols(0)[0][0] == 0.0
         tr = sensitivity_trace(gp, scheme, 1.0, K)
         dx, dy = rolling_sensitivity(gp, scheme, 1.0, K)
         assert same_bits(tr.dx, dx) and same_bits(tr.dy, dy)

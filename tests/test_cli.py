@@ -140,6 +140,16 @@ class TestCli:
         )
         assert doc2["eps_max"] == pytest.approx(2 * doc1["eps_max"], rel=1e-12)
 
+    @pytest.mark.parametrize("agents", [2, 4])
+    def test_run_refuses_a_scheme_for_another_agent_count(self, workdir, capsys, agents):
+        scheme = configio.load_json(workdir / "scheme.json")
+        scheme.update(p_zeta=[0.93] * agents, p_eta=[0.93] * agents)
+        configio.dump_json(scheme, workdir / "scheme.json")
+        assert main(["run", "--config", str(workdir / "config.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgt run: the scheme has {agents} agents, the graph pair 3\n"
+
     def test_bound_check(self, workdir, capsys):
         code, doc = run_cli(
             capsys, "bound-check", "--config", str(workdir / "config.json"), "--runs", "35",

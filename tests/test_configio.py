@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpgt import configio
 from dpgt.cli import main
 from dpgt.graphs import build_graph_pair
-from dpgt.objectives import generate_trig_datasets
+from dpgt.objectives import generate_trig_datasets, make_dataset
 from dpgt.schemes import S1Params, S2Params
 
 S2_DOC = {
@@ -89,3 +94,61 @@ class TestWrittenDocumentsLoad:
         }
         obj = configio.objective_from_dict(doc, tmp_path)
         assert [ds.size for ds in obj.datasets] == [12, 12]
+
+
+def through_json(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
+
+positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+nonnegative = st.floats(min_value=0.0, max_value=1e300)
+
+
+@st.composite
+def schemes(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        exponents = st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n).map(tuple)
+        return S1Params(
+            a1=draw(positive), a2=draw(positive), a3=draw(positive), a4=draw(nonnegative),
+            p_alpha=draw(positive), p_beta=draw(positive), p_gamma=draw(positive), p_m=draw(nonnegative),
+            p_zeta=draw(exponents), p_eta=draw(exponents),
+        )
+    bases = st.lists(positive, min_size=n, max_size=n).map(tuple)
+    return S2Params(
+        alpha=draw(positive), beta=draw(positive), gamma=draw(positive), p_m=draw(nonnegative),
+        p_zeta=draw(bases), p_eta=draw(bases),
+    )
+
+
+weights = st.integers(1, 4).flatmap(lambda n: arrays(float, (2, n, n), elements=nonnegative))
+
+
+class TestRoundTrips:
+    """Every written document, through JSON text, loads back as what was written."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(schemes())
+    def test_scheme(self, scheme):
+        assert configio.scheme_from_dict(through_json(configio.scheme_to_dict(scheme))) == scheme
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights)
+    def test_graph(self, RC):
+        gp = build_graph_pair(RC[0], RC[1])
+        back = configio.graph_from_dict(through_json(configio.graph_to_dict(gp)))
+        assert back.n == gp.n
+        assert back.R.tobytes() == gp.R.tobytes() and back.C.tobytes() == gp.C.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 50),
+        st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+            lambda shape: arrays(float, shape, elements=st.floats(-1e300, 1e300))
+        ),
+    )
+    def test_dataset(self, agent, samples):
+        ds = make_dataset(agent, samples)
+        back = configio.dataset_from_dict(through_json(configio.dataset_to_dict(ds)))
+        assert back.agent == ds.agent
+        assert back.samples.tobytes() == ds.samples.tobytes()

@@ -33,7 +33,7 @@ from dpgt.objectives import (
     make_quadratic,
     make_trig,
 )
-from dpgt.schemes import S1Params, S2Params, rates_at
+from dpgt.schemes import Rates, S1Params, S2Params, rates_at
 
 
 def five_node_pair(seed=7):
@@ -200,7 +200,7 @@ class TestPerturb:
         rates = rates_at(s2(p_zeta=(0.9,) * 5, p_eta=(0.9,) * 5), 3)
         st = initialize(gp, rates, obj, seed=1)
         n, d = st.x.shape
-        smax2 = max(rates.sigma_zeta(i, 0) for i in range(n)) ** 2
+        smax2 = max(rates.sigma_cols(0)[0]) ** 2
         powers = []
         for rep in range(4000):
             st2 = dataclasses.replace(st, seed=rep)
@@ -786,6 +786,18 @@ class TestBatchedEnsemble:
         with pytest.raises(ConfigError, match="exceeds the smallest dataset"):
             run_ensemble(gp, s2(p_m=2.0), obj, K=10, seeds=range(3))
 
+    @pytest.mark.parametrize("make", [s1, s2])
+    @pytest.mark.parametrize("agents", [4, 6])
+    def test_scheme_for_another_agent_count_is_refused(self, monkeypatch, make, agents):
+        gp, obj = five_node_pair(), quad_objective()
+        message = f"the scheme has {agents} agents, the graph pair 5"
+        with pytest.raises(ValueError, match=message):
+            run(gp, make(n=agents), obj, K=3, seed=0)
+        batches = batch_on(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(gp, make(n=agents), obj, K=3, seeds=range(40))
+        assert batches == []
+
     def test_squared_norms_square_with_libm_pow(self):
         # As float(np.sqrt(w.dot(w)) ** 2) does: a NumPy scalar's ** 2 is libm's pow.
         v = next(v for v in np.random.default_rng(0).uniform(1.0, 2.0, 100_000).tolist() if np.float64(v) ** 2 != v * v)
@@ -814,17 +826,10 @@ class TestBatchedEnsemble:
                 assert np.asarray(g[s]).tobytes() == np.asarray(w, dtype=float).tobytes()
 
 
-class _Scales:
-    """The two noise-scale columns of a Rates, fixed for every iteration."""
-
-    def __init__(self, zeta, eta):
-        self.zeta, self.eta = np.array(zeta), np.array(eta)
-
-    def sigma_zeta_all(self, k):
-        return self.zeta
-
-    def sigma_eta_all(self, k):
-        return self.eta
+def fixed_scales(zeta, eta) -> Rates:
+    """A schedule whose noise scales are zeta and eta at every iteration: exponent 0, factor the scale."""
+    flat = (0.0,) * len(zeta)
+    return Rates(K=0, alpha=0.0, beta=0.0, gamma=0.0, m=1.0, c=(zeta, eta), q=(flat, flat))
 
 
 lane_seeds = hst.lists(
@@ -859,7 +864,7 @@ class TestLaneDraws:
     )
     def test_noise_lanes_equal_laplace_vector(self, seeds, k, d, scales, before):
         n = len(scales)
-        rates = _Scales(*zip(*scales))
+        rates = fixed_scales(*zip(*scales))
         want = np.zeros((2, len(seeds), n, d))
         for j, seed in enumerate(seeds):
             for i, (sz, se) in enumerate(scales):

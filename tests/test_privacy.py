@@ -25,7 +25,7 @@ from dpgt.privacy import (
     micro_dp_check,
     sensitivity_trace,
 )
-from dpgt.schemes import S1Params, S2Params, rates_at
+from dpgt.schemes import S1Params, S2Params, check_budget_finiteness, rates_at
 
 
 def replace_sample(ds, index, value):
@@ -160,6 +160,17 @@ class TestSensitivityTrace:
             cap = 2 * 1.5 / (r.m * b) + 1.5 / r.m
             assert tr.dy[i].max() <= cap + 1e-12
 
+    @pytest.mark.parametrize("agents", [1, 3])
+    def test_scheme_for_another_agent_count_is_refused(self, agents):
+        gp = two_agent_pair()
+        message = f"the scheme has {agents} agents, the graph pair 2"
+        p = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.1, p_zeta=(0.9,) * agents, p_eta=(0.9,) * agents)
+        with pytest.raises(ValueError, match=message):
+            sensitivity_trace(gp, p, 1.0, 10)
+        fits = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.1, p_zeta=(0.9,) * 2, p_eta=(0.9,) * 2)
+        with pytest.raises(ValueError, match=message):
+            epsilon(sensitivity_trace(gp, fits, 1.0, 10), p, 10)
+
     @pytest.mark.parametrize("C", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
     def test_adjacency_constant_must_be_finite_and_positive(self, C):
         # A NaN constant used to give NaN bounds and then a NaN budget.
@@ -207,6 +218,15 @@ class TestEpsilon:
         # larger noise bases give larger scales p^K, hence smaller budget
         assert epsilon(tr, p_large, K).eps_max < epsilon(tr, p_small, K).eps_max
 
+    def test_integer_noise_base_is_a_float_scale(self):
+        # A document's "p_zeta": [1, 1] gave integer scales, which epsilon's
+        # in-place divide could not take.
+        gp = two_agent_pair()
+        as_int = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.2, p_zeta=(1, 1), p_eta=(0.9, 0.9))
+        as_float = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.2, p_zeta=(1.0, 1.0), p_eta=(0.9, 0.9))
+        tr = sensitivity_trace(gp, as_float, 1.0, 10)
+        assert np.array_equal(epsilon(tr, as_int, 10).eps, epsilon(tr, as_float, 10).eps)
+
     def test_zero_scale_reports_infinite_budget(self):
         gp = two_agent_pair()
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.2, p_zeta=(1e-9,) * 2, p_eta=(1e-9,) * 2)
@@ -226,6 +246,30 @@ class TestEpsilon:
         eps_large = epsilon(sensitivity_trace(gp, p, 1.0, 10**5), p, 10**5).eps_max
         assert eps_large - eps_small < 0.01 * eps_small
         assert eps_large < eps_small
+
+    def test_decaying_schedule_tail_follows_tail_order(self):
+        # Acceptance criterion 7's pair and S1 scheme: eps_max ~ log(K) / K^e
+        # with e = min(state, tracking exponent) = 0.41, so eps_max K^e / log K
+        # stays within a factor 2 of its value at K = 1e3.  Without batch
+        # growth (a4 = 0) the same exponents are reported, but eps_max grows
+        # far out of that band.
+        gp = two_agent_pair(w=0.9)
+        base = dict(
+            a1=0.4, a2=0.4, a3=1.0, p_alpha=0.987, p_beta=0.69, p_gamma=0.997,
+            p_m=2.0, p_zeta=(0.1,) * 2, p_eta=(0.1,) * 2,
+        )
+        horizons = (10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5)
+
+        def normalized(p):
+            derived = check_budget_finiteness(p).derived
+            e = min(derived["state_exponent"], derived["tracking_exponent"])
+            assert e == pytest.approx(0.41)
+            vals = [epsilon(sensitivity_trace(gp, p, 1.0, K), p, K).eps_max * K**e / math.log(K) for K in horizons]
+            return np.array(vals) / vals[0]
+
+        growing = normalized(S1Params(a4=4e-5, **base))
+        assert ((growing >= 0.5) & (growing <= 2.0)).all(), growing
+        assert normalized(S1Params(a4=0.0, **base)).max() > 2.0
 
     def test_geometric_schedule_budget_eventually_decreasing(self):
         gp = two_agent_pair(w=0.9)
@@ -322,6 +366,13 @@ class TestCoupledRuns:
             alt[1] = replace_sample(ds[1], 5, [ds[1].samples[5, 0] + 2.0])
         p = S2Params(alpha=0.15, beta=0.15, gamma=0.02, p_m=1.02, p_zeta=(0.9,) * n, p_eta=(0.9,) * n)
         return gp, p, obj, ds, alt
+
+    @pytest.mark.parametrize("agents", [2, 4])
+    def test_scheme_for_another_agent_count_is_refused(self, agents):
+        gp, p, obj, ds, alt = self.setup_pair()
+        other = dataclasses.replace(p, p_zeta=(0.9,) * agents, p_eta=(0.9,) * agents)
+        with pytest.raises(ValueError, match=f"the scheme has {agents} agents, the graph pair 3"):
+            coupled_pair_run(gp, other, obj, list(ds), alt, K=5, seed=1)
 
     def test_identical_collections_zero_difference(self):
         gp, p, obj, ds, _ = self.setup_pair(change=False)

@@ -80,6 +80,14 @@ class TestBuildModel:
         with pytest.raises(CapViolation, match="alpha"):
             build_model(sc, scheme, ObjectiveConstants(1.0, 0.5, 1.0), K=5, d=3)
 
+    @pytest.mark.parametrize("agents", [4, 6])
+    def test_scheme_for_another_agent_count_is_refused(self, agents):
+        _, sc = five_pair()
+        noise = (0.9,) * agents
+        scheme = S2Params(alpha=0.1, beta=0.1, gamma=0.001, p_m=1.05, p_zeta=noise, p_eta=noise)
+        with pytest.raises(ValueError, match=f"the scheme has {agents} agents, the graph pair 5"):
+            build_model(sc, scheme, ObjectiveConstants(1.0, 0.5, 1.0), K=5, d=3)
+
     def test_entries_monotone_in_gamma(self):
         _, sc = five_pair()
         consts = ObjectiveConstants(1.0, 0.5, 1.0)

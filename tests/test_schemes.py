@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dpgt.graphs import build_graph_pair, spectral_constants
+from dpgt.objectives import generate_quadratic_datasets, make_quadratic
 from dpgt.schemes import (
     S1Params,
     S2Params,
@@ -14,6 +15,7 @@ from dpgt.schemes import (
     q_caps,
     rates_at,
     theta,
+    validate,
     validate_s1,
     validate_s2,
 )
@@ -79,13 +81,13 @@ class TestRates:
 
     def test_s1_noise_grows_with_iteration(self):
         r = rates_at(s1_reference(p_noise=0.2), 100)
-        assert r.sigma_zeta(0, 50) == pytest.approx(51.0**0.2)
+        assert r.sigma_cols(50)[0][0] == 51.0**0.2
 
     def test_s2_noise_constant_in_iteration(self):
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.1, p_zeta=(0.9,), p_eta=(0.8,))
         r = rates_at(p, 40)
-        assert r.sigma_zeta(0, 0) == r.sigma_zeta(0, 39) == pytest.approx(0.9**40)
-        assert r.sigma_eta(0, 13) == pytest.approx(0.8**40)
+        assert r.sigma_cols(0)[0] == r.sigma_cols(39)[0] == [0.9**40]
+        assert r.sigma_cols(13)[1] == [0.8**40]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -103,9 +105,8 @@ class TestRates:
             params = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.1, p_zeta=bases[0], p_eta=bases[1])
         rates = dataclasses.replace(rates_at(params, 50), noise_off=noise_off)
         ks = range(k0, k0 + length)
-        zeta, eta = rates.sigma_rows(1, ks)
-        for got, sigma in ((zeta, rates.sigma_zeta), (eta, rates.sigma_eta)):
-            assert got.tobytes() == np.array([sigma(1, k) for k in ks], dtype=float).tobytes()
+        for role, got in enumerate(rates.sigma_rows(1, ks)):
+            assert got.tobytes() == np.array([rates.sigma_cols(k)[role][1] for k in ks], dtype=float).tobytes()
 
     def test_geometric_overflow_guard(self):
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.5, p_zeta=(0.9,), p_eta=(0.9,))
@@ -148,6 +149,21 @@ class TestValidateS1:
     def test_reports_are_pure(self, sc5):
         _, sc = sc5
         assert validate_s1(s1_reference(), sc, 0.1) == validate_s1(s1_reference(), sc, 0.1)
+
+    def test_batch_that_never_grows_fails_on_a4_alone(self, sc5):
+        # Acceptance criterion 5's scheme and objective: with a4 = 0, m stays 1
+        # and the p_m - p_beta term of theta does not apply.
+        _, sc = sc5
+        L = make_quadratic(
+            np.eye(10), np.full(10, 3.0 / math.sqrt(10)), 5, generate_quadratic_datasets(5, 200, seed=42)
+        ).L1_smooth
+        base = dict(
+            a1=0.05, a2=0.4, a3=2.4, p_alpha=0.987, p_beta=0.69, p_gamma=0.997, p_m=2.0,
+            p_zeta=(0.1,) * 5, p_eta=(0.1,) * 5,
+        )
+        flat = validate_s1(S1Params(a4=0.0, **base), sc, L)
+        assert [e.name for e in flat.entries if not e.satisfied] == ["0 < a4"]
+        assert validate_s1(S1Params(a4=4e-5, **base), sc, L).overall
 
 
 class TestValidateS2:
@@ -193,6 +209,26 @@ class TestValidateS2:
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.9, p_m=1.1, p_zeta=(0.93,) * 5, p_eta=(0.93,) * 5)
         rep = validate_s2(p, sc, L=1.0, mu=1.0)
         assert not rep.overall
+
+
+class TestValidate:
+    def test_picks_the_validator_of_the_scheme(self, sc5):
+        _, sc = sc5
+        s2 = S2Params(alpha=0.1, beta=0.1, gamma=0.9, p_m=1.1, p_zeta=(0.93,) * 5, p_eta=(0.93,) * 5)
+        assert validate(s1_reference(), sc, 0.1, 0.3) == validate_s1(s1_reference(), sc, 0.1)
+        assert validate(s2, sc, 1.0, 0.3) == validate_s2(s2, sc, 1.0, 0.3)
+        assert (S1Params.fit_model, S2Params.fit_model) == ("power", "exponential")
+
+    @pytest.mark.parametrize("agents", [4, 6])
+    def test_scheme_for_another_agent_count_is_refused(self, sc5, agents):
+        _, sc = sc5
+        message = f"the scheme has {agents} agents, the graph pair 5"
+        s1 = s1_reference(p_zeta=(0.1,) * agents, p_eta=(0.1,) * agents)
+        s2 = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.1, p_zeta=(0.93,) * agents, p_eta=(0.93,) * agents)
+        for check in (lambda: validate_s1(s1, sc, 0.1), lambda: validate_s2(s2, sc, 0.1, 0.1),
+                      lambda: validate(s1, sc, 0.1, 0.1), lambda: validate(s2, sc, 0.1, 0.1)):
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 class TestTheta:
