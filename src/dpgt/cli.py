@@ -3,9 +3,12 @@
 Subcommands: analyze-graph, gen-data, validate-scheme, run, privacy-budget,
 bound-check, sweep.  Ensembles choose serial or forked-process execution
 themselves, from their estimated size and the available cores (see
-``engine.run_ensemble``).  The exit status is 0 on success, 1 when
-validate-scheme finds an inequality violated, and 2 when an input is
-rejected, with one line on stderr naming why.
+``engine.run_ensemble``).  The exit status is 0 on success; 1 when
+validate-scheme finds an inequality violated, or when run or sweep meets a
+scheme that fails validation without ``"force": true``; 2 when an input is
+rejected; and 3 when a run diverges.  A failure prints one line on stderr,
+``dpgt <command>: <message>``; a divergence names the seed, agent,
+iteration and variable.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import sys
 from pathlib import Path
 
 from . import configio
-from .engine import run_ensemble
+from .engine import DivergenceError, run_ensemble
 from .experiments import (
     ExperimentConfig,
+    ValidatorFailure,
     auto_adjacency_constant,
     run_experiment,
     run_sweep,
@@ -220,14 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit status of each failure class that main reports; no class here subclasses another.
+_EXIT_STATUS = ((ValidatorFailure, 1), (ValueError, 2), (DivergenceError, 3))
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; input that it rejects exits with status 2 and one line on stderr."""
+    """Run one subcommand; a failure exits with its class's status and one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except tuple(cls for cls, _ in _EXIT_STATUS) as err:
         print(f"dpgt {args.command}: {err}", file=sys.stderr)
-        return 2
+        return next(status for cls, status in _EXIT_STATUS if isinstance(err, cls))
 
 
 if __name__ == "__main__":

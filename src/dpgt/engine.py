@@ -29,19 +29,16 @@ off, 1ᵀ y_k = 1ᵀ g_k holds exactly for every k by telescoping from y_0 = g_0
 Randomness is counter-based: every Laplace block and every index draw comes
 from a fresh Philox stream keyed by (seed, agent, iteration, role), so the
 trajectory is independent of evaluation order and identical across reruns.
-Seeds are therefore independent.  :func:`run_ensemble` runs a large ensemble
-in forked worker processes, one contiguous block of seeds each, and advances
-the seeds of a block together on (S, n, d) arrays through :func:`update`,
-with one gradient pass and one metrics pass per step for all of them.  Each
-seed keeps its own keyed draws, and every array operation acts on each seed's
-slice as it acts on one seed's arrays, so the bits equal those of :func:`run`
-seed after seed.  A chunk checks the key ranges once and re-keys the thread's
-Philox directly for each seed (:func:`_rekeyed`), writing the draws into its
-arrays; :func:`run` keeps the reference calls, :func:`keyed_generator`,
-:func:`laplace_vector` and :func:`sample_indices`.  Small ensembles, such as
-the benchmark self-test's short runs, stay on :func:`run`, whose per-seed call
-structure the self-test counts.  The keyed generator is one object per
-thread, so callers that run seeds on threads draw the same streams too.
+Seeds are therefore independent lanes, and the engine is written once for a
+leading lane axis: the keyed draws, the state and the loop all take a list of
+seeds and arrays of shape (S, n, d), and every array operation acts on each
+lane as it acts on one seed's arrays.  A one-seed :func:`run` is a chunk of
+one lane.  :func:`run_ensemble` has two paths through that loop.  A small
+ensemble runs seed after seed through :func:`run`; the benchmark self-test
+counts the calls of that path.  A large one runs in forked worker processes,
+one contiguous block of seeds each, and advances each block's seeds together
+in chunks, with one gradient pass per agent and one metrics pass per step for
+the whole chunk.  The bits are the same either way.
 """
 
 from __future__ import annotations
@@ -156,26 +153,22 @@ def _slot() -> tuple[np.random.Generator, np.random.Philox, list[int], dict]:
     return _local.slot
 
 
-def _word(agent: int, k: int, role: int) -> int:
-    """The second key word of (agent, iteration, role)."""
-    return (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
+def keyed_generator(seeds, agent: int, k: int, role: int):
+    """Philox streams keyed by (seed, agent, iteration, role), one per seed in turn.
 
+    The generator yielded for a seed draws as a fresh
+    ``Generator(Philox(key=k2))`` with ``k2 = np.array([seed % 2**64, word],
+    dtype=np.uint64)`` and ``word = agent << 48 | role << 40 | k``, whatever
+    was drawn before: taking it resets the counter and empties the buffers.
+    The key ranges are checked once per call, as the first one is taken.
 
-def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Generator:
-    """Philox stream uniquely keyed by (seed, agent, iteration, role).
-
-    The draws equal those of a fresh ``Generator(Philox(key=k2))`` with
-    ``k2 = np.array([seed % 2**64, word], dtype=np.uint64)`` and
-    ``word = agent << 48 | role << 40 | k``, whatever was drawn before:
-    each call resets the counter and empties the buffers.
-
-    The result is one generator shared by every keyed call in this thread,
-    re-keyed in place and valid only until the next keyed call, so callers
-    draw from it at once and never hold it.  The lane loop of batched chunks,
-    :func:`_rekeyed`, re-keys the same generator.  Returning the draws
-    instead (ROADMAP item 5) changes the call structure that the benchmark
-    self-test pins as a closed form for ``engine.keyed_generator.calls``,
-    so that fix waits for a change that rewrites the closed form.
+    Every yielded generator is the same object, shared by every keyed draw in
+    this thread and re-keyed in place, so each is valid only until the next
+    one is taken, from this call or any other: callers draw from it at once
+    and never hold it.  Returning the draws instead (ROADMAP item 5) changes
+    the call structure that the benchmark self-test pins as a closed form for
+    ``engine.keyed_generator.calls``, so that fix waits for a change that
+    rewrites the closed form.
     """
     if not (0 <= agent < 2**_KEY_AGENT_BITS):
         raise ConfigError(f"agent id {agent} outside key range")
@@ -184,136 +177,94 @@ def keyed_generator(seed: int, agent: int, k: int, role: int) -> np.random.Gener
     if not (0 <= role < 2**_KEY_ROLE_BITS):
         raise ConfigError(f"role {role} outside key range")
     gen, bitgen, key, state = _slot()
-    key[0] = seed % 2**64
-    key[1] = _word(agent, k, role)
-    bitgen.state = state
-    return gen
-
-
-def _rekeyed(keys: list[int], agent: int, k: int, role: int):
-    """:func:`keyed_generator` of each lane in turn, for keys ``seed % 2**64``, without its checks.
-
-    :func:`_run_lanes` checks the key ranges once for its chunk; per lane,
-    this only rewrites the two key words and resets the state.  Draw from
-    each generator before taking the next.
-    """
-    gen, bitgen, key, state = _slot()
-    word = _word(agent, k, role)
-    for seed_key in keys:
-        key[0] = seed_key
+    word = (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
+    for seed in seeds:
+        key[0] = seed % 2**64
         key[1] = word
         bitgen.state = state
         yield gen
 
 
-def laplace_vector(seed: int, agent: int, k: int, role: int, d: int, scale: float) -> np.ndarray:
-    """Keyed d-dimensional Laplace block; scale 0 is the exact no-noise baseline."""
+def laplace_vector(seeds, agent: int, k: int, role: int, d: int, scale: float) -> np.ndarray:
+    """Keyed d-dimensional Laplace blocks, one row per seed: (S, d); scale 0 is the exact no-noise baseline."""
     if scale < 0:
         raise ValueError("Laplace scale must be nonnegative")
-    if scale == 0.0:
-        return np.zeros(d)
-    return keyed_generator(seed, agent, k, role).laplace(0.0, scale, size=d)
+    out = np.zeros((len(seeds), d))
+    if scale != 0.0:
+        for j, gen in enumerate(keyed_generator(seeds, agent, k, role)):
+            out[j] = gen.laplace(0.0, scale, d)
+    return out
 
 
-def sample_indices(seed: int, agent: int, k: int, D: int, m: int) -> np.ndarray:
-    """m distinct indices in [0, D), uniform without replacement, keyed per (agent, k).
+def sample_indices(seeds, agent: int, k: int, D: int, m: int) -> np.ndarray:
+    """m distinct indices in [0, D) per seed, uniform without replacement, keyed per (agent, k): (S, m).
 
-    A single C-level Fisher-Yates shuffle is drawn and truncated; the prefix
+    Each row is the m-prefix of one C-level Fisher-Yates shuffle; the prefix
     of a uniform permutation is a uniform ordered m-subset.
     """
     if not (1 <= m <= D):
         raise ConfigError(f"need 1 <= m <= D, got m={m}, D={D}")
-    gen = keyed_generator(seed, agent, k, ROLE_SAMPLES)
-    # A copy, so that callers holding every agent's draw do not keep n O(D) permutations alive.
-    return gen.permutation(D)[:m].copy()
+    out = np.empty((len(seeds), m), dtype=int)
+    for j, gen in enumerate(keyed_generator(seeds, agent, k, ROLE_SAMPLES)):
+        out[j] = gen.permutation(D)[:m]
+    return out
 
 
 @dataclass(frozen=True)
 class EngineState:
+    """Iteration k of the runs of ``seeds``, lane s holding seed s's arrays."""
+
     k: int
-    x: np.ndarray  # (n, d)
-    y: np.ndarray  # (n, d)
-    g_prev: np.ndarray  # (n, d)
-    seed: int
+    x: np.ndarray  # (S, n, d)
+    y: np.ndarray  # (S, n, d)
+    g_prev: np.ndarray  # (S, n, d)
+    seeds: tuple[int, ...]
 
 
-def noise(seed: int, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keyed Laplace blocks (zeta, eta), each (n, d), for iteration k.
+def noise(seeds, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keyed Laplace blocks (zeta, eta), each (S, n, d), for iteration k.
 
     Noise is drawn for every agent whenever its scale is nonzero, whether or
     not anyone listens, so streams stay aligned across topologies; a row whose
     scale is zero stays exactly zero.
     """
-    zeta, eta = np.zeros((2, n, d))
+    zeta, eta = np.zeros((2, len(seeds), n, d))
     for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), rates.sigma_cols(k), (zeta, eta)):
-        for i in range(n):
-            if scales[i] > 0.0:
-                block[i] = laplace_vector(seed, i, k, role, d, scales[i])
+        for i, scale in enumerate(scales):
+            if scale > 0.0:
+                block[:, i] = laplace_vector(seeds, i, k, role, d, scale)
     return zeta, eta
 
 
-def _noise_lanes(keys: list[int], rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`noise` of each lane's seed, stacked to (S, n, d) each."""
-    out = np.zeros((2, len(keys), n, d))
-    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), rates.sigma_cols(k), out):
-        for i, scale in enumerate(scales):
-            if scale > 0.0:
-                for j, gen in enumerate(_rekeyed(keys, i, k, role)):
-                    block[j, i] = gen.laplace(0.0, scale, d)
-    return out[0], out[1]
+def draw_x0(seeds, n: int, d: int) -> np.ndarray:
+    """Keyed initial states, uniform on [-1, 1]^d per agent, shape (S, n, d)."""
+    x0 = np.empty((len(seeds), n, d))
+    for i in range(n):
+        for j, gen in enumerate(keyed_generator(seeds, i, 0, ROLE_X0)):
+            x0[j, i] = gen.uniform(-1.0, 1.0, d)
+    return x0
 
 
-def draw_x0(seed: int, n: int, d: int) -> np.ndarray:
-    """Keyed initial states, uniform on [-1, 1]^d per agent, shape (n, d)."""
-    return np.stack(
-        [keyed_generator(seed, i, 0, ROLE_X0).uniform(-1.0, 1.0, size=d) for i in range(n)]
-    )
-
-
-def draw_indices(seed: int, datasets, k: int, m: int) -> list[np.ndarray]:
-    """Agent i's m sample indices for iteration k, one keyed draw per agent."""
-    return [sample_indices(seed, i, k, ds.size, m) for i, ds in enumerate(datasets)]
+def draw_indices(seeds, datasets, k: int, m: int) -> list[np.ndarray]:
+    """Agent i's m sample indices per seed for iteration k, (S, m) each, one keyed draw per agent."""
+    return [sample_indices(seeds, i, k, ds.size, m) for i, ds in enumerate(datasets)]
 
 
 def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarray:
-    """Row i: mean per-sample gradient at x[i] over datasets[i].samples[idxs[i]].
+    """Entry (..., i, :): mean per-sample gradient at x[..., i, :] over datasets[i].samples[idxs[i]].
 
-    Each row is ``.mean(axis=0)``'s own arithmetic, a sum reduction and then
-    an in-place division by the count, written into the output directly.
+    One ``grad_batch`` call per agent covers every lane.  A single lane goes
+    without its lane axis: the one-point evaluators give the same bits at a
+    fraction of the per-call cost.  Each mean is ``.mean(axis=0)``'s own
+    arithmetic, a sum reduction over the sample axis and then a division by
+    the count.
     """
-    out = np.empty(np.shape(x))
-    for row, xi, ds, idx in zip(out, x, datasets, idxs, strict=True):
-        g = obj.grad_batch(xi, ds.samples[idx])
-        np.add.reduce(g, axis=0, out=row)
-        row /= g.shape[0]
-    return out
-
-
-def _index_lanes(keys: list[int], agent: int, k: int, D: int, m: int) -> np.ndarray:
-    """:func:`sample_indices` of each lane's seed, stacked to (S, m); the caller checks 1 <= m <= D."""
-    base = np.arange(D)
-    perm = np.empty_like(base)
-    head = perm[:m]
-    out = np.empty((len(keys), m), dtype=base.dtype)
-    for j, gen in enumerate(_rekeyed(keys, agent, k, ROLE_SAMPLES)):
-        perm[...] = base
-        gen.shuffle(perm)  # permutation(D) is this shuffle of a fresh arange
-        out[j] = head
-    return out
-
-
-def _sampled_gradients_lanes(obj: Objective, keys: list[int], x: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Each lane's sampled gradients at its states x[s] (S, n, d) for iteration k.
-
-    One keyed draw per (seed, agent), as :func:`draw_indices` makes them, and
-    one ``grad_batch`` call for every seed and agent; the reduction over the
-    sample axis is the row arithmetic of :func:`sampled_gradients`.
-    """
-    xis = np.empty(x.shape[:2] + (m, obj.datasets[0].sample_dim))
-    for i, ds in enumerate(obj.datasets):
-        xis[:, i] = ds.samples[_index_lanes(keys, i, k, ds.size, m)]
-    out = np.add.reduce(obj.grad_batch(x, xis), axis=-2)
-    out /= m
+    if x.ndim == 3 and len(x) == 1:
+        return sampled_gradients(obj, datasets, x[0], [idx[0] for idx in idxs])[None]
+    out = np.empty(x.shape)
+    for i, (ds, idx) in enumerate(zip(datasets, idxs, strict=True)):
+        np.add.reduce(obj.grad_batch(x[..., i, :], ds.samples[idx]), axis=-2, out=out[..., i, :])
+    out /= idx.shape[-1]
     return out
 
 
@@ -347,7 +298,7 @@ def update(
 
 def perturb(state: EngineState, rates: Rates, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed broadcast pair (xb, yb) for iteration k."""
-    zeta, eta = noise(state.seed, rates, k, *state.x.shape)
+    zeta, eta = noise(state.seeds, rates, k, *state.x.shape[1:])
     return state.x + zeta, state.y + eta
 
 
@@ -355,21 +306,22 @@ def initialize(
     gp: GraphPair,
     rates: Rates,
     obj: Objective,
-    seed: int,
+    seeds,
     x0: np.ndarray | None = None,
 ) -> EngineState:
-    """Draw x_0 if absent, sample the first gradient batches, and set y_0 = g_0."""
+    """Draw each seed's x_0, or start every lane at x0 (n, d); sample the first gradient batches; set y_0 = g_0."""
     n, d = gp.n, obj.dim
     if len(obj.datasets) != n:
         raise ConfigError(f"the objective has {len(obj.datasets)} agents, the graph pair {n}")
     if x0 is None:
-        x0 = draw_x0(seed, n, d)
+        x0 = draw_x0(seeds, n, d)
     else:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n, d):
             raise ConfigError(f"x0 must have shape {(n, d)}, got {x0.shape}")
-    g0 = sampled_gradients(obj, obj.datasets, x0, draw_indices(seed, obj.datasets, 0, rates.m_int))
-    return EngineState(k=0, x=x0, y=g0.copy(), g_prev=g0, seed=seed)
+        x0 = np.repeat(x0[None], len(seeds), axis=0)
+    g0 = sampled_gradients(obj, obj.datasets, x0, draw_indices(seeds, obj.datasets, 0, rates.m_int))
+    return EngineState(k=0, x=x0, y=g0.copy(), g_prev=g0, seeds=tuple(seeds))
 
 
 def step(state: EngineState, gp: GraphPair, rates: Rates, obj: Objective) -> EngineState:
@@ -378,11 +330,11 @@ def step(state: EngineState, gp: GraphPair, rates: Rates, obj: Objective) -> Eng
     xb, yb = perturb(state, rates, k)
 
     def grad_at(x_next: np.ndarray) -> np.ndarray:
-        idxs = draw_indices(state.seed, obj.datasets, k + 1, rates.m_int)
+        idxs = draw_indices(state.seeds, obj.datasets, k + 1, rates.m_int)
         return sampled_gradients(obj, obj.datasets, x_next, idxs)
 
     x, y, g = update(state.x, state.y, state.g_prev, xb, yb, grad_at, rates, gp, k)
-    return EngineState(k=k + 1, x=x, y=y, g_prev=g, seed=state.seed)
+    return EngineState(k=k + 1, x=x, y=y, g_prev=g, seeds=state.seeds)
 
 
 def compact_step(
@@ -401,15 +353,15 @@ def compact_step(
     k = state.k
     a, b, c = rates.alpha, rates.beta, rates.gamma
     n = gp.n
-    zeta, eta = noise(state.seed, rates, k, *state.x.shape)
+    zeta, eta = noise(state.seeds, rates, k, *state.x.shape[1:])
     eye = np.eye(n)
     x_next = (eye - a * gp.L1) @ state.x + a * (gp.R @ zeta) - c * state.y
     _guard("state", x_next, k + 1)
-    idxs = draw_indices(state.seed, obj.datasets, k + 1, rates.m_int)
+    idxs = draw_indices(state.seeds, obj.datasets, k + 1, rates.m_int)
     g_next = sampled_gradients(obj, obj.datasets, x_next, idxs)
     y_next = (eye - b * gp.L2) @ state.y + b * (gp.C @ eta) + g_next - state.g_prev
     _guard("tracking", y_next, k + 1)
-    return EngineState(k=k + 1, x=x_next, y=y_next, g_prev=g_next, seed=state.seed)
+    return EngineState(k=k + 1, x=x_next, y=y_next, g_prev=g_next, seeds=state.seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +445,40 @@ def _checked_rates(gp: GraphPair, scheme: SchemeParams, obj: Objective, K: int, 
     return rates
 
 
+def _run_chunk(
+    gp: GraphPair,
+    rates: Rates,
+    obj: Objective,
+    K: int,
+    seeds: list[int],
+    x0: np.ndarray | None,
+    sc: SpectralConstants,
+) -> list[Trajectory]:
+    """The trajectories of ``seeds``, advanced together on (S, n, d) arrays.
+
+    A divergence is raised without a seed, since a chunk cannot tell which
+    of its diverging lanes the serial loop would have named.
+    """
+    S, n = len(seeds), gp.n
+    f_star = obj.F_star if obj.F_star is not None else 0.0
+    state = initialize(gp, rates, obj, seeds, x0)
+    v = np.empty((S, K + 2, 3))
+    grad_norm_sq = np.empty((S, K + 1, n))
+    v[:, 0, 0], v[:, 0, 1], _, v[:, 0, 2] = _metrics(state.x, state.y, sc, obj, f_star)
+    for k in range(K + 1):
+        state = step(state, gp, rates, obj)
+        cx, cy, grad_norm_sq[:, k], gap = _metrics(state.x, state.y, sc, obj, f_star)
+        v[:, k + 1, 0], v[:, k + 1, 1], v[:, k + 1, 2] = cx, cy, gap
+    ks = np.arange(1, K + 2)
+    samples_cum = rates.m_int * np.arange(2, K + 3, dtype=np.int64)  # the first batch plus k+1 more
+    return [
+        Trajectory(
+            K=K, ks=ks, v=v[j], grad_norm_sq=grad_norm_sq[j], samples_cum=samples_cum, final_x=state.x[j], seed=s,
+        )
+        for j, s in enumerate(seeds)
+    ]
+
+
 def run(
     gp: GraphPair,
     scheme: SchemeParams,
@@ -511,77 +497,11 @@ def run(
     rates = _checked_rates(gp, scheme, obj, K, noise_off)
     if sc is None:
         sc = spectral_constants(gp)
-    f_star = obj.F_star if obj.F_star is not None else 0.0
-
-    state = initialize(gp, rates, obj, seed, x0)
-    v = np.empty((K + 2, 3))
-    grad_norm_sq = np.empty((K + 1, gp.n))
-    cx, cy, _, gap = _metrics(state.x, state.y, sc, obj, f_star)
-    v[0] = cx, cy, gap
-    for k in range(K + 1):
-        try:
-            state = step(state, gp, rates, obj)
-        except DivergenceError as err:
-            err.seed = seed
-            raise
-        cx, cy, grad_norm_sq[k], gap = _metrics(state.x, state.y, sc, obj, f_star)
-        v[k + 1] = cx, cy, gap
-    return Trajectory(
-        K=K,
-        ks=np.arange(1, K + 2),
-        v=v,
-        grad_norm_sq=grad_norm_sq,
-        samples_cum=rates.m_int * np.arange(2, K + 3, dtype=np.int64),  # the first batch plus k+1 more
-        final_x=state.x,
-        seed=seed,
-    )
-
-
-def _run_lanes(
-    gp: GraphPair,
-    rates: Rates,
-    obj: Objective,
-    K: int,
-    seeds: list[int],
-    x0: np.ndarray | None,
-    sc: SpectralConstants,
-) -> list[Trajectory]:
-    """:func:`run` of every seed at once, on (S, n, d) arrays, with the same bits.
-
-    Any failure is raised without a seed; the caller reruns the seeds through
-    :func:`run` to raise the error that run raises.
-    """
-    S, n, d, m = len(seeds), gp.n, obj.dim, rates.m_int
-    if len(obj.datasets) != n or (x0 is not None and np.shape(x0) != (n, d)):
-        raise ConfigError("the agent count or the shape of x0 does not fit; run names which")
-    # keyed_generator's key-range checks, once for every lane's draws;
-    # run_block's _checked_rates already bounds m to 1 <= m <= D.
-    if not (n <= 2**_KEY_AGENT_BITS and K + 1 < 2**_KEY_ITER_BITS):
-        raise ConfigError("a key is out of range; run names which")
-    keys = [s % 2**64 for s in seeds]
-    if x0 is None:
-        x = np.stack([draw_x0(s, n, d) for s in seeds])
-    else:
-        x = np.repeat(np.asarray(x0, dtype=float)[None], S, axis=0)
-    f_star = obj.F_star if obj.F_star is not None else 0.0
-    g = _sampled_gradients_lanes(obj, keys, x, 0, m)
-    y = g.copy()
-    v = np.empty((S, K + 2, 3))
-    grad_norm_sq = np.empty((S, K + 1, n))
-    v[:, 0, 0], v[:, 0, 1], _, v[:, 0, 2] = _metrics(x, y, sc, obj, f_star)
-    for k in range(K + 1):
-        zeta, eta = _noise_lanes(keys, rates, k, n, d)
-        x, y, g = update(
-            x, y, g, x + zeta, y + eta,
-            lambda x_next: _sampled_gradients_lanes(obj, keys, x_next, k + 1, m), rates, gp, k,
-        )
-        v[:, k + 1, 0], v[:, k + 1, 1], grad_norm_sq[:, k], v[:, k + 1, 2] = _metrics(x, y, sc, obj, f_star)
-    ks = np.arange(1, K + 2)
-    samples_cum = m * np.arange(2, K + 3, dtype=np.int64)
-    return [
-        Trajectory(K=K, ks=ks, v=v[j], grad_norm_sq=grad_norm_sq[j], samples_cum=samples_cum, final_x=x[j], seed=s)
-        for j, s in enumerate(seeds)
-    ]
+    try:
+        return _run_chunk(gp, rates, obj, K, [seed], x0, sc)[0]
+    except DivergenceError as err:
+        err.seed = seed
+        raise
 
 
 @dataclass(frozen=True)
@@ -627,15 +547,15 @@ def _large(obj: Objective, K: int, n_seeds: int) -> bool:
     return n_seeds * (K + 2) * seed_step_s >= _POOL_MIN_S
 
 
-def _workers(obj: Objective, K: int, n_seeds: int) -> int:
-    """Processes for an ensemble: one per core up to one per seed, or 1 (serial).
+def _workers(n_seeds: int) -> int:
+    """Processes for a large ensemble: one per core up to one per seed, or 1 (serial).
 
-    Serial for an ensemble that is not :func:`_large`, while other threads
-    are alive, since a forked child may inherit a lock one of them holds, and
-    inside a daemonic process, which may not start children.
+    Serial while other threads are alive, since a forked child may inherit a
+    lock one of them holds, and inside a daemonic process, which may not
+    start children.
     """
     workers = min(n_seeds, _cores())
-    if workers < 2 or not _large(obj, K, n_seeds) or threading.active_count() > 1:
+    if workers < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing  # here, so that importing dpgt does not pay for it
 
@@ -697,22 +617,22 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Independent runs over a seed list, merged in seed order.
 
-    A large ensemble (see :func:`_large`) runs on forked worker processes,
-    one per available core up to one per seed, each running one contiguous
-    block of seeds.  It runs serially on one core, where ``fork`` is unavailable,
+    Two paths run the same loop.  A small ensemble (see :func:`_large`)
+    runs seed after seed through :func:`run`: batching gains little there,
+    and the benchmark self-test counts the calls of that path on its short
+    shapes.  A large ensemble runs on forked worker processes, one per
+    available core up to one per seed, each running one contiguous block of
+    seeds; it runs serially on one core, where ``fork`` is unavailable,
     while other threads are alive, or inside a daemonic process.  Either way
-    a block of a large ensemble advances its seeds together, in chunks whose
-    per-sample gradients fit in ``_CHUNK_BYTES``, with one gradient and one
-    metrics pass per step for the chunk; a block of one seed has nothing to
-    share and runs through :func:`run`.  A smaller ensemble runs seed after
-    seed through :func:`run`: batching gains little there, and the benchmark
-    self-test counts the calls of that path on its short shapes.
+    a block advances its seeds together, in chunks whose per-sample
+    gradients fit in ``_CHUNK_BYTES``, with one gradient pass per agent and
+    one metrics pass per step for the chunk.
 
-    Every run is pure with keyed RNG streams, and every batched operation acts
+    Every run is pure with keyed RNG streams, and every array operation acts
     on each seed as on one seed's arrays, so results are identical batched or
-    per seed, pooled or serially.  A block stops at its first failure, and
-    the error of the lowest failing seed is raised, as the serial loop raises
-    it; a chunk that fails is rerun seed by seed through :func:`run` for it.
+    per seed, pooled or serially.  The error raised is the lowest failing
+    seed's, as the serial loop raises it: a block stops at its first failing
+    chunk, which is rerun seed by seed through :func:`run` to raise it.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -720,50 +640,39 @@ def run_ensemble(
     if sc is None:
         sc = spectral_constants(gp)
 
-    def run_seeds(block: list[int]) -> tuple[list[Trajectory], Exception | None]:
-        """The runs of a block in seed order up to its first failure, and that failure."""
-        done = []
-        for s in block:
-            try:
-                done.append(run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off))
-            except Exception as err:
-                return done, err
-        return done, None
-
-    batched = _large(obj, K, len(seeds))
-
-    def run_block(block: list[int]) -> tuple[list[Trajectory], Exception | None]:
-        """:func:`run_seeds`' result, from batched chunks of the block if the ensemble is large."""
-        if not batched or len(block) == 1:
-            return run_seeds(block)
-        try:
-            rates = _checked_rates(gp, scheme, obj, K, noise_off)
-        except Exception:
-            return run_seeds(block)
-        size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * rates.m_int))
-        done = []
-        for start in range(0, len(block), size):
-            chunk = block[start:start + size]
-            try:
-                done += _run_lanes(gp, rates, obj, K, chunk, x0, sc)
-            except Exception:
-                runs, err = run_seeds(chunk)
-                done += runs
-                if err is not None:
-                    return done, err
-        return done, None
-
-    w = _workers(obj, K, len(seeds))
-    if w > 1:
-        blocks = [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)]
-        results = _run_forked(run_block, blocks)
+    if not _large(obj, K, len(seeds)):
+        trajectories = [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds]
     else:
-        results = [run_block(seeds)]
-    trajectories = []
-    for done, err in results:
-        trajectories += done
-        if err is not None:
-            raise err
+        rates = _checked_rates(gp, scheme, obj, K, noise_off)
+        size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * rates.m_int))
+
+        def run_block(block: list[int]) -> list[Trajectory] | Exception:
+            """The runs of a block in seed order, or the error of its lowest failing seed."""
+            done = []
+            for start in range(0, len(block), size):
+                chunk = block[start:start + size]
+                try:
+                    done += _run_chunk(gp, rates, obj, K, chunk, x0, sc)
+                except Exception as chunk_err:
+                    for s in chunk:
+                        try:
+                            run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off)
+                        except Exception as err:
+                            return err
+                    return chunk_err
+            return done
+
+        w = _workers(len(seeds))
+        if w > 1:
+            blocks = [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)]
+            results = _run_forked(run_block, blocks)
+        else:
+            results = [run_block(seeds)]
+        trajectories = []
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+            trajectories += result
 
     R = len(trajectories)
     grad = np.stack([t.grad_norm_sq for t in trajectories])  # (R, K+1, n)

@@ -208,6 +208,8 @@ def _norm_coupling_grad(x: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return x / (nx * (1.0 + nx) ** 2) if nx != 0.0 else np.zeros_like(x)
     nx = nx[..., None]
+    if nx.all():
+        return x / (nx * _lanes(_square, 1.0 + nx))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(nx == 0.0, 0.0, x / (nx * _lanes(_square, 1.0 + nx)))
 

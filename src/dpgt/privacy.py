@@ -256,10 +256,12 @@ def coupled_pair_run(
     check_agent_count(scheme, n)
     rates = rates_at(scheme, K)
     m = rates.m_int
-    x0 = draw_x0(seed, n, d) if x0 is None else np.asarray(x0, dtype=float)
+    # One lane: states are (1, n, d), index draws (1, m) per agent.
+    seeds = [seed]
+    x0 = draw_x0(seeds, n, d) if x0 is None else np.asarray(x0, dtype=float)[None]
 
     def draw(k: int) -> list[np.ndarray]:
-        idxs = draw_indices(seed, datasets, k, m)
+        idxs = draw_indices(seeds, datasets, k, m)
         for i in range(n):
             if i in forbid and forbid[i] in idxs[i]:
                 pool = np.setdiff1d(np.arange(datasets[i].size), idxs[i])
@@ -275,9 +277,9 @@ def coupled_pair_run(
 
     dx_meas = np.zeros((n, K + 1))
     dy_meas = np.zeros((n, K + 1))
-    dy_meas[:, 0] = np.abs(y_a - y_b).sum(axis=1)
+    dy_meas[:, 0] = np.abs(y_a - y_b)[0].sum(axis=1)
     for k in range(K):
-        zeta, eta = noise(seed, rates, k, n, d)
+        zeta, eta = noise(seeds, rates, k, n, d)
         xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
         idxs = draw(k + 1)
         x_a, y_a, g_a = update(
@@ -286,8 +288,8 @@ def coupled_pair_run(
         x_b, y_b, g_b = update(
             x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), rates, gp, k
         )
-        dx_meas[:, k + 1] = np.abs(x_a - x_b).sum(axis=1)
-        dy_meas[:, k + 1] = np.abs(y_a - y_b).sum(axis=1)
+        dx_meas[:, k + 1] = np.abs(x_a - x_b)[0].sum(axis=1)
+        dy_meas[:, k + 1] = np.abs(y_a - y_b)[0].sum(axis=1)
 
     return CoupledRunResult(K=K, dx_measured=dx_meas, dy_measured=dy_meas, differing=differing)
 
@@ -366,7 +368,7 @@ def micro_dp_check(
     rates = rates_at(scheme, K)
     m = rates.m_int
     n = gp.n
-    x0 = draw_x0(seed, n, 1)
+    x0 = draw_x0([seed], n, 1)[0]
 
     def simulate(side: int, sample_sets: list[Dataset]) -> np.ndarray:
         # States are (trials, n, 1): one scalar run per trial along the batch axis.

@@ -174,7 +174,7 @@ def test_02_update_equivalence():
             p_m=1.01, p_zeta=(0.9,) * gp.n, p_eta=(0.9,) * gp.n,
         )
         rates = rates_at(scheme, 100)
-        st_a = initialize(gp, rates, obj, seed=1000 + trial)
+        st_a = initialize(gp, rates, obj, seeds=(1000 + trial,))
         st_b = st_a
         for _ in range(100):
             st_a = step(st_a, gp, rates, obj)
@@ -189,12 +189,12 @@ def test_03_tracking_identity(quad_instance):
     gp, sc, obj = quad_instance
     scheme = admissible_s2(sc, obj.L1_smooth, obj.mu, frac=0.9, p_m=1.0, p_noise=0.93)
     rates = dataclasses.replace(rates_at(scheme, 500), noise_off=True)
-    st = initialize(gp, rates, obj, seed=33)
+    st = initialize(gp, rates, obj, seeds=(33,))
     worst = 0.0
     for _ in range(500):
         st = step(st, gp, rates, obj)
-        num = np.abs(st.y.sum(axis=0) - st.g_prev.sum(axis=0)).max()
-        den = max(1.0, np.abs(st.g_prev.sum(axis=0)).max())
+        num = np.abs(st.y.sum(axis=-2) - st.g_prev.sum(axis=-2)).max()
+        den = max(1.0, np.abs(st.g_prev.sum(axis=-2)).max())
         worst = max(worst, num / den)
     ok = worst <= 1e-10
     report(3, "tracking conservation, zero noise", ok, f"worst relative gap {worst:.2e}")

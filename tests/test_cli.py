@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"dpgt run: the scheme has {agents} agents, the graph pair 3\n"
+
+    @pytest.mark.parametrize("force, status", [(False, 1), (True, 3)])
+    def test_run_of_an_unstable_scheme_exits_with_its_failure_class(self, workdir, capsys, force, status):
+        # gamma far above its caps: refused by the validator (1), or, when
+        # forced, run until the states diverge (3).  Either way one stderr line.
+        scheme = configio.load_json(workdir / "scheme.json")
+        scheme["gamma"] = 900.0
+        configio.dump_json(scheme, workdir / "scheme.json")
+        config = configio.load_json(workdir / "config.json")
+        config["force"] = force
+        configio.dump_json(config, workdir / "config.json")
+        assert main(["run", "--config", str(workdir / "config.json")]) == status
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if force:
+            pattern = (
+                r"dpgt run: (state|tracking) of agent [0-2] reached magnitude \S+ at iteration \d+ "
+                r"\(seed 3\); step sizes are unstable for this problem\n"
+            )
+        else:
+            pattern = r"dpgt run: scheme fails admissibility checks: \[.*gamma.*\]\n"
+        assert re.fullmatch(pattern, captured.err)
 
     def test_bound_check(self, workdir, capsys):
         code, doc = run_cli(

@@ -14,9 +14,11 @@ from dpgt.engine import (
     ConfigError,
     DivergenceError,
     compact_step,
+    draw_x0,
     initialize,
     keyed_generator,
     laplace_vector,
+    noise,
     perturb,
     run,
     run_ensemble,
@@ -76,16 +78,21 @@ def family_objective(kind, n=5):
 DIVERGENCE_FIELDS = ("variable", "k", "agent", "magnitude", "seed")
 
 
+def one(seed, agent, k, role):
+    """The keyed generator of one seed."""
+    return next(keyed_generator([seed], agent, k, role))
+
+
 class TestLaplace:
     def test_zero_scale_vector_is_exact_zero(self):
-        assert np.array_equal(laplace_vector(1, 0, 0, 1, 8, 0.0), np.zeros(8))
+        assert np.array_equal(laplace_vector([1], 0, 0, 1, 8, 0.0), np.zeros((1, 8)))
 
 
 class TestKeyedStreams:
     def test_same_key_same_draws_any_order(self):
-        a = keyed_generator(9, 2, 5, 1).laplace(0, 1, 4)
-        _ = keyed_generator(9, 3, 5, 1).laplace(0, 1, 4)  # interleaved other stream
-        b = keyed_generator(9, 2, 5, 1).laplace(0, 1, 4)
+        a = one(9, 2, 5, 1).laplace(0, 1, 4)
+        _ = one(9, 3, 5, 1).laplace(0, 1, 4)  # interleaved other stream
+        b = one(9, 2, 5, 1).laplace(0, 1, 4)
         assert np.array_equal(a, b)
 
     @settings(max_examples=300, deadline=None)
@@ -106,14 +113,14 @@ class TestKeyedStreams:
             lambda g: g.laplace(0.0, 0.7, size),
             lambda g: g.permutation(size + 3),
         ):
-            prior = keyed_generator(seed + 1, (agent + 1) % 2**16, k, role)
+            prior = one(seed + 1, (agent + 1) % 2**16, k, role)
             if before == "random":
                 prior.random(size)
             elif before == "integers":
                 prior.integers(0, 10, size=size, dtype=np.int32)
             elif before == "permutation":
                 prior.permutation(size)
-            got = draw(keyed_generator(seed, agent, k, role))
+            got = draw(one(seed, agent, k, role))
             # A uint64 array: a plain list with a word >= 2**63 would pass through float64.
             key = np.array([seed % 2**64, word], dtype=np.uint64)
             want = draw(np.random.Generator(np.random.Philox(key=key)))
@@ -128,7 +135,7 @@ class TestKeyedStreams:
         def worker(seed):
             got, want = [], []
             for k in range(25):
-                gen = keyed_generator(seed, 3, k, 2)
+                gen = one(seed, 3, k, 2)
                 barrier.wait()
                 got.append(gen.random(5))
                 barrier.wait()
@@ -147,40 +154,40 @@ class TestKeyedStreams:
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     def test_distinct_keys_decorrelated(self):
-        a = keyed_generator(9, 2, 5, 1).laplace(0, 1, 1000)
-        b = keyed_generator(9, 2, 6, 1).laplace(0, 1, 1000)
+        a = one(9, 2, 5, 1).laplace(0, 1, 1000)
+        b = one(9, 2, 6, 1).laplace(0, 1, 1000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_key_range_guards(self):
         with pytest.raises(ConfigError):
-            keyed_generator(1, -1, 0, 0)
+            one(1, -1, 0, 0)
         with pytest.raises(ConfigError):
-            keyed_generator(1, 0, 2**40, 0)
+            one(1, 0, 2**40, 0)
 
 
 class TestSampling:
     def test_distinct_and_in_range(self):
         for k in range(20):
-            idx = sample_indices(3, 1, k, 30, 7)
+            (idx,) = sample_indices([3], 1, k, 30, 7)
             assert len(np.unique(idx)) == 7
             assert idx.min() >= 0 and idx.max() < 30
 
     def test_full_batch_is_permutation(self):
-        idx = sample_indices(3, 0, 0, 12, 12)
+        (idx,) = sample_indices([3], 0, 0, 12, 12)
         assert sorted(idx.tolist()) == list(range(12))
 
     def test_inclusion_frequencies_uniform(self):
         D, m, trials = 20, 6, 4000
         counts = np.zeros(D)
         for k in range(trials):
-            counts[sample_indices(77, 0, k, D, m)] += 1
+            counts[sample_indices([77], 0, k, D, m)[0]] += 1
         p = m / D
         se = math.sqrt(p * (1 - p) / trials)
         assert np.abs(counts / trials - p).max() <= 3.5 * se
 
     def test_bounds_guard(self):
         with pytest.raises(ConfigError):
-            sample_indices(0, 0, 0, 5, 6)
+            sample_indices([0], 0, 0, 5, 6)
 
 
 class TestPerturb:
@@ -188,7 +195,7 @@ class TestPerturb:
         gp = five_node_pair()
         obj = quad_objective()
         rates = dataclasses.replace(rates_at(s2(), 10), noise_off=True)
-        st = initialize(gp, rates, obj, seed=1)
+        st = initialize(gp, rates, obj, seeds=[1])
         xb, yb = perturb(st, rates, 0)
         assert np.array_equal(xb, st.x)
         assert np.array_equal(yb, st.y)
@@ -198,12 +205,12 @@ class TestPerturb:
         gp = five_node_pair()
         obj = quad_objective()
         rates = rates_at(s2(p_zeta=(0.9,) * 5, p_eta=(0.9,) * 5), 3)
-        st = initialize(gp, rates, obj, seed=1)
-        n, d = st.x.shape
+        st = initialize(gp, rates, obj, seeds=[1])
+        _, n, d = st.x.shape
         smax2 = max(rates.sigma_cols(0)[0]) ** 2
         powers = []
         for rep in range(4000):
-            st2 = dataclasses.replace(st, seed=rep)
+            st2 = dataclasses.replace(st, seeds=(rep,))
             xb, _ = perturb(st2, rates, 0)
             powers.append(((xb - st.x) ** 2).sum())
         mean_power = np.mean(powers)
@@ -215,7 +222,7 @@ class TestPerturb:
         gp = five_node_pair()
         obj = quad_objective()
         rates = rates_at(s2(), 5)
-        st = initialize(gp, rates, obj, seed=4)
+        st = initialize(gp, rates, obj, seeds=[4])
         xb1, yb1 = perturb(st, rates, 2)
         xb2, yb2 = perturb(st, rates, 2)
         assert np.array_equal(xb1, xb2) and np.array_equal(yb1, yb2)
@@ -230,12 +237,12 @@ class TestStep:
         scheme = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.0, p_zeta=(0.9,), p_eta=(0.9,))
         rates = dataclasses.replace(rates_at(scheme, 0), noise_off=True)
         assert rates.m_int == 2  # full batch
-        st = initialize(gp, rates, obj, seed=2, x0=np.array([[3.0, -1.0]]))
+        st = initialize(gp, rates, obj, seeds=[2], x0=np.array([[3.0, -1.0]]))
         nxt = step(st, gp, rates, obj)
-        expect = st.x[0] - 0.05 * st.y[0]
-        assert np.allclose(nxt.x[0], expect, atol=1e-15)
-        full_batch = obj.grad_batch(st.x[0], obj.datasets[0].samples).mean(axis=0)
-        assert np.allclose(st.y[0], full_batch, atol=1e-15)
+        expect = st.x[0, 0] - 0.05 * st.y[0, 0]
+        assert np.allclose(nxt.x[0, 0], expect, atol=1e-15)
+        full_batch = obj.grad_batch(st.x[0, 0], obj.datasets[0].samples).mean(axis=0)
+        assert np.allclose(st.y[0, 0], full_batch, atol=1e-15)
 
     def test_agentwise_equals_stacked_form(self):
         rng = np.random.default_rng(0)
@@ -244,7 +251,7 @@ class TestStep:
             obj = quad_objective(seed=trial)
             scheme = s2(p_zeta=(0.95,) * 5, p_eta=(0.95,) * 5)
             rates = rates_at(scheme, 30)
-            st_a = initialize(gp, rates, obj, seed=100 + trial)
+            st_a = initialize(gp, rates, obj, seeds=[100 + trial])
             st_b = st_a
             for _ in range(30):
                 st_a = step(st_a, gp, rates, obj)
@@ -286,7 +293,7 @@ class TestStep:
         gp = five_node_pair()
         obj = quad_objective()
         rates = rates_at(s2(gamma=900.0), 200)
-        st = initialize(gp, rates, obj, seed=0)
+        st = initialize(gp, rates, obj, seeds=[0])
         with pytest.raises(DivergenceError):
             for _ in range(201):
                 st = compact_step(st, gp, rates, obj)
@@ -325,11 +332,11 @@ class TestRun:
         obj = quad_objective(D=60)
         scheme = s2()
         rates = dataclasses.replace(rates_at(scheme, 500), noise_off=True)
-        st = initialize(gp, rates, obj, seed=8)
+        st = initialize(gp, rates, obj, seeds=[8])
         for _ in range(500):
             st = step(st, gp, rates, obj)
-            lhs = st.y.sum(axis=0)
-            rhs = st.g_prev.sum(axis=0)
+            lhs = st.y.sum(axis=-2)
+            rhs = st.g_prev.sum(axis=-2)
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_agent_count_mismatch_rejected(self):
@@ -361,24 +368,25 @@ class TestRun:
         rates = rates_at(scheme, 10)
 
         def agentwise(st, order):
-            xb, yb = perturb(st, rates, st.k)
-            x_next = np.empty_like(st.x)
-            g_next = np.empty_like(st.g_prev)
-            y_next = np.empty_like(st.y)
+            (xb,), (yb,) = perturb(st, rates, st.k)
+            (x,), (y,), (g,) = st.x, st.y, st.g_prev
+            x_next = np.empty_like(x)
+            g_next = np.empty_like(g)
+            y_next = np.empty_like(y)
             for i in order:
                 row = gp.R[i].sum()
                 col = gp.C[:, i].sum()
-                x_next[i] = (1 - rates.alpha * row) * st.x[i] + rates.alpha * (
+                x_next[i] = (1 - rates.alpha * row) * x[i] + rates.alpha * (
                     gp.R[i] @ xb
-                ) - rates.gamma * st.y[i]
-                idx = sample_indices(st.seed, i, st.k + 1, obj.datasets[i].size, rates.m_int)
+                ) - rates.gamma * y[i]
+                (idx,) = sample_indices(st.seeds, i, st.k + 1, obj.datasets[i].size, rates.m_int)
                 g_next[i] = obj.grad_batch(x_next[i], obj.datasets[i].samples[idx]).mean(axis=0)
-                y_next[i] = (1 - rates.beta * col) * st.y[i] + rates.beta * (
+                y_next[i] = (1 - rates.beta * col) * y[i] + rates.beta * (
                     gp.C[i] @ yb
-                ) + g_next[i] - st.g_prev[i]
+                ) + g_next[i] - g[i]
             return x_next, y_next
 
-        st = initialize(gp, rates, obj, seed=3)
+        st = initialize(gp, rates, obj, seeds=[3])
         rng = np.random.default_rng(0)
         for _ in range(10):
             fwd = agentwise(st, range(gp.n))
@@ -389,8 +397,8 @@ class TestRun:
                 assert np.array_equal(fwd[1], shuffled[1])
             ref = step(st, gp, rates, obj)
             scale = max(1.0, np.abs(ref.x).max(), np.abs(ref.y).max())
-            assert np.abs(ref.x - fwd[0]).max() <= 1e-12 * scale
-            assert np.abs(ref.y - fwd[1]).max() <= 1e-12 * scale
+            assert np.abs(ref.x[0] - fwd[0]).max() <= 1e-12 * scale
+            assert np.abs(ref.y[0] - fwd[1]).max() <= 1e-12 * scale
             st = ref
 
     def test_zero_noise_run_converges_on_network(self):
@@ -446,24 +454,37 @@ def pool_on(monkeypatch, cores: int = 2) -> None:
 
 
 def fail_batches(monkeypatch) -> None:
-    """Make every batched chunk fail, so that its seeds rerun through ``engine.run``."""
+    """Make every chunk fail, so that its seeds rerun through ``engine.run``."""
 
     def failing(gp, rates, obj, K, seeds, x0, sc):
         raise RuntimeError("batched chunk failed")
 
-    monkeypatch.setattr(engine, "_run_lanes", failing)
+    monkeypatch.setattr(engine, "_run_chunk", failing)
 
 
 def spy_batches(monkeypatch) -> list:
-    """Record the seeds of every batched chunk that runs in this process."""
+    """Record the seeds of every chunk that runs in this process, run's one-seed chunks included."""
     calls = []
-    real = engine._run_lanes
+    real = engine._run_chunk
 
     def spy(gp, rates, obj, K, seeds, x0, sc):
         calls.append(list(seeds))
         return real(gp, rates, obj, K, seeds, x0, sc)
 
-    monkeypatch.setattr(engine, "_run_lanes", spy)
+    monkeypatch.setattr(engine, "_run_chunk", spy)
+    return calls
+
+
+def spy_runs(monkeypatch) -> list:
+    """Record the seed of every ``engine.run`` call that run_ensemble makes in this process."""
+    calls = []
+    real = engine.run
+
+    def spy(gp, scheme, obj, K, seed, **kw):
+        calls.append(seed)
+        return real(gp, scheme, obj, K, seed, **kw)
+
+    monkeypatch.setattr(engine, "run", spy)
     return calls
 
 
@@ -606,17 +627,22 @@ class TestEnsemble:
         run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=[4])
 
     def test_self_test_shapes_never_batch(self, monkeypatch):
-        # The self-test's closed-form counts are those of run's per-seed calls.
+        # The self-test's closed-form counts are those of run's per-seed calls:
+        # every seed goes through run, as a chunk of one.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        runs = spy_runs(monkeypatch)
         batches = spy_batches(monkeypatch)
         gp = five_node_pair()
         for K in (5, 10):
             run_ensemble(gp, s2(), quad_objective(d=10, D=200), K=K, seeds=range(3))
         run_ensemble(gp, s2(), quad_objective(d=10, D=50_000), K=8, seeds=[1])
-        assert batches == []
+        assert runs == [0, 1, 2, 0, 1, 2, 1]
+        assert batches == [[s] for s in runs]
         # The benchmark's full shape does batch, in one chunk on one core.
+        batches.clear()
         run_ensemble(gp, s2(), quad_objective(d=10, D=200), K=25, seeds=range(20))
         assert batches == [list(range(20))]
+        assert len(runs) == 7
 
     def test_self_test_shapes_never_build_a_pool(self, monkeypatch):
         # The benchmark self-test pins traced call counts, which calls made in
@@ -740,13 +766,13 @@ class TestBatchedEnsemble:
         monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk * 8 * gp.n * obj.dim * m)
         pool_on(monkeypatch, cores=workers)
         sizes = tmp_path / "sizes"
-        real = engine._run_lanes
+        real = engine._run_chunk
 
         def spy(gp, rates, obj, K, seeds, x0, sc):
             log_seed(sizes, len(seeds))
             return real(gp, rates, obj, K, seeds, x0, sc)
 
-        monkeypatch.setattr(engine, "_run_lanes", spy)
+        monkeypatch.setattr(engine, "_run_chunk", spy)
         got = run_ensemble(gp, s1(), obj, K, seeds)
         blocks = [seeds] if workers == 1 else [seeds[:7], seeds[7:]]
         expected_sizes = [min(chunk, len(b) - i) for b in blocks for i in range(0, len(b), chunk)]
@@ -755,9 +781,10 @@ class TestBatchedEnsemble:
         assert_equal_results(got, want)
 
     def test_one_seed_block_runs_per_seed(self, monkeypatch):
+        # A large ensemble's one-seed block is a chunk of one, with run's bits.
         batches = batch_on(monkeypatch)
         got = run_ensemble(five_node_pair(), s1(), quad_objective(), 12, [8])
-        assert batches == []
+        assert batches == [[8]]
         want = run(five_node_pair(), s1(), quad_objective(), 12, 8)
         assert np.array_equal(got.mean_v, want.v)
         assert np.array_equal(got.mean_grad_norm_sq, want.grad_norm_sq)
@@ -771,7 +798,7 @@ class TestBatchedEnsemble:
         batches = batch_on(monkeypatch)
         with pytest.raises(DivergenceError) as batched:
             run_ensemble(gp, bad, obj, K=200, seeds=range(12, 16))
-        assert batches == [[12, 13, 14, 15]]
+        assert batches == [[12, 13, 14, 15], [12]]  # the chunk, then run's rerun of seed 12
         assert [getattr(batched.value, a) for a in DIVERGENCE_FIELDS] == [
             getattr(serial.value, a) for a in DIVERGENCE_FIELDS
         ]
@@ -843,74 +870,114 @@ lane_scales = hst.one_of(
 
 
 def leave_partial_state(before: str) -> None:
-    """A per-seed keyed draw that leaves the shared generator mid-buffer or with a spare uint32."""
-    gen = keyed_generator(123, 4, 5, 1)
+    """A keyed draw that leaves the shared generator mid-buffer or with a spare uint32."""
+    gen = one(123, 4, 5, 1)
     if before == "partial buffer":
         gen.random(3)
     elif before == "spare uint32":
         gen.integers(0, 10, size=1, dtype=np.int32)
 
 
+lane_agents = hst.one_of(hst.just(2**16 - 1), hst.integers(0, 2**16 - 1))
+lane_ks = hst.one_of(hst.just(2**40 - 1), hst.integers(0, 2**40 - 1))
+lane_befores = hst.sampled_from(["nothing", "partial buffer", "spare uint32"])
+
+
 class TestLaneDraws:
-    """The lane loop of batched chunks against the per-seed keyed draws, byte for byte."""
+    """Each keyed draw on S lanes against S one-lane calls, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds=lane_seeds, agent=lane_agents, k=lane_ks, role=hst.integers(0, 2**8 - 1), before=lane_befores)
+    def test_keyed_generator_lanes_equal_one_lane_calls(self, seeds, agent, k, role, before):
+        def draw(gen):
+            # Three int32 draws leave a spare uint32 that the next lane must not take.
+            return gen.integers(0, 2**31 - 1, size=3, dtype=np.int32).tobytes() + gen.random(2).tobytes()
+
+        want = [draw(one(s, agent, k, role)) for s in seeds]
+        leave_partial_state(before)
+        assert [draw(gen) for gen in keyed_generator(seeds, agent, k, role)] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=lane_seeds, agent=lane_agents, k=lane_ks, d=hst.sampled_from([1, 10]), scale=lane_scales,
+        before=lane_befores,
+    )
+    def test_laplace_vector_lanes_equal_one_lane_calls(self, seeds, agent, k, d, scale, before):
+        want = np.concatenate([laplace_vector([s], agent, k, engine.ROLE_ETA, d, scale) for s in seeds])
+        leave_partial_state(before)
+        got = laplace_vector(seeds, agent, k, engine.ROLE_ETA, d, scale)
+        assert got.shape == (len(seeds), d) and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=lane_seeds, agent=lane_agents, k=lane_ks, D=hst.sampled_from([1, 2, 200, 2**14 + 1]),
+        full=hst.booleans(), before=lane_befores,
+    )
+    def test_index_lanes_equal_sample_indices(self, seeds, agent, k, D, full, before):
+        m = D if full else 1
+        want = np.concatenate([sample_indices([s], agent, k, D, m) for s in seeds])
+        leave_partial_state(before)
+        got = sample_indices(seeds, agent, k, D, m)
+        assert got.dtype == want.dtype and got.shape == (len(seeds), m)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=lane_seeds, n=hst.integers(1, 4), d=hst.sampled_from([1, 10]), before=lane_befores)
+    def test_x0_lanes_equal_one_lane_calls(self, seeds, n, d, before):
+        want = np.concatenate([draw_x0([s], n, d) for s in seeds])
+        leave_partial_state(before)
+        got = draw_x0(seeds, n, d)
+        assert got.shape == (len(seeds), n, d) and got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
         seeds=lane_seeds,
-        k=hst.integers(0, 2**40 - 1),
+        k=lane_ks,
         d=hst.sampled_from([1, 10]),
         scales=hst.lists(hst.tuples(lane_scales, lane_scales), min_size=1, max_size=3),
-        before=hst.sampled_from(["nothing", "partial buffer", "spare uint32"]),
+        before=lane_befores,
     )
-    def test_noise_lanes_equal_laplace_vector(self, seeds, k, d, scales, before):
+    def test_noise_lanes_equal_one_lane_calls(self, seeds, k, d, scales, before):
         n = len(scales)
         rates = fixed_scales(*zip(*scales))
-        want = np.zeros((2, len(seeds), n, d))
-        for j, seed in enumerate(seeds):
-            for i, (sz, se) in enumerate(scales):
-                want[0, j, i] = laplace_vector(seed, i, k, engine.ROLE_ZETA, d, sz)
-                want[1, j, i] = laplace_vector(seed, i, k, engine.ROLE_ETA, d, se)
+        want = [np.concatenate(blocks) for blocks in zip(*(noise([s], rates, k, n, d) for s in seeds))]
         leave_partial_state(before)
-        got = engine._noise_lanes([s % 2**64 for s in seeds], rates, k, n, d)
+        got = noise(seeds, rates, k, n, d)
         for g, w in zip(got, want, strict=True):
-            assert g.tobytes() == w.tobytes()
+            assert g.shape == (len(seeds), n, d) and g.tobytes() == w.tobytes()
         for i, (sz, se) in enumerate(scales):
             for g, scale in ((got[0], sz), (got[1], se)):
                 if scale == 0.0:
                     assert not np.signbit(g[:, i]).any() and not g[:, i].any()
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seeds=lane_seeds,
-        agent=hst.one_of(hst.just(2**16 - 1), hst.integers(0, 2**16 - 1)),
-        k=hst.one_of(hst.just(2**40 - 1), hst.integers(0, 2**40 - 1)),
-        D=hst.sampled_from([1, 2, 200, 2**14 + 1]),
-        full=hst.booleans(),
-        before=hst.sampled_from(["nothing", "partial buffer", "spare uint32"]),
-    )
-    def test_index_lanes_equal_sample_indices(self, seeds, agent, k, D, full, before):
-        m = D if full else 1
-        want = np.stack([sample_indices(s, agent, k, D, m) for s in seeds])
-        leave_partial_state(before)
-        got = engine._index_lanes([s % 2**64 for s in seeds], agent, k, D, m)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
     def test_lane_drawn_between_per_seed_draws(self):
-        # A per-seed draw inside the lane loop re-keys the shared generator;
+        # A keyed draw inside the lane loop re-keys the shared generator;
         # the next lane still draws its own stream.
-        keys = [3, 2**64 - 1, 11]
+        seeds = [3, 2**64 - 1, 11]
         got = []
-        for gen in engine._rekeyed(keys, 7, 9, engine.ROLE_SAMPLES):
+        for gen in keyed_generator(seeds, 7, 9, engine.ROLE_SAMPLES):
             got.append(gen.permutation(50))
-            keyed_generator(1, 2, 3, 1).integers(0, 10, size=1, dtype=np.int32)
-        want = [keyed_generator(s, 7, 9, engine.ROLE_SAMPLES).permutation(50) for s in keys]
+            one(1, 2, 3, 1).integers(0, 10, size=1, dtype=np.int32)
+        want = [one(s, 7, 9, engine.ROLE_SAMPLES).permutation(50) for s in seeds]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    def test_compact_step_lanes_equal_one_lane_states(self):
+        gp, obj = five_node_pair(), quad_objective()
+        rates = rates_at(s2(p_zeta=(0.9,) * 5, p_eta=(0.9,) * 5), 10)
+        seeds = [3, 2**64 - 1, 11]
+        lanes = initialize(gp, rates, obj, seeds)
+        singles = [initialize(gp, rates, obj, [s]) for s in seeds]
+        for _ in range(6):
+            lanes = compact_step(lanes, gp, rates, obj)
+            singles = [compact_step(st, gp, rates, obj) for st in singles]
+            for name in ("x", "y", "g_prev"):
+                want = np.concatenate([getattr(st, name) for st in singles])
+                assert getattr(lanes, name).tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("bits, value", [("_KEY_ITER_BITS", 4), ("_KEY_AGENT_BITS", 2)])
     def test_key_range_failure_raises_runs_error(self, monkeypatch, bits, value):
-        # Keys beyond a narrowed field: the chunk's hoisted check fails, and
-        # the ensemble raises the error run raises at the first such key.
+        # Keys beyond a narrowed field: the chunk fails, and the ensemble
+        # raises the error run raises at the first such key.
         gp = five_node_pair()
         obj = quad_objective()
         monkeypatch.setattr(engine, bits, value)
@@ -919,6 +986,6 @@ class TestLaneDraws:
         batches = batch_on(monkeypatch)
         with pytest.raises(ConfigError) as batched:
             run_ensemble(gp, s2(), obj, K=20, seeds=[3, 4, 5])
-        assert batches == [[3, 4, 5]]
+        assert batches == [[3, 4, 5], [3]]
         assert str(batched.value) == str(serial.value)
         assert "outside key range" in str(serial.value)

@@ -140,12 +140,18 @@ class TestQuadraticEvaluators:
 
 class TestEngineHotPath:
     @settings(max_examples=150, deadline=None)
-    @given(cases(), st.integers(0, 2**20))
-    def test_sampled_gradients(self, case, k):
+    @given(cases(), st.integers(0, 2**20), st.integers(1, 4))
+    def test_sampled_gradients(self, case, k, S):
+        # S lanes of states (S, n, d), each against the oracle on its own (n, d).
         seed, n, d, D, m, zero_rows = case
         obj, _, x, _ = instance(seed, n, d, D, zero_rows)
-        idxs = draw_indices(seed, obj.datasets, k, m)
-        assert same_bits(sampled_gradients(obj, obj.datasets, x, idxs), sampled_gradients_oracle(obj, x, idxs))
+        xs = np.stack([x * (1.0 + s) for s in range(S)])
+        seeds = [seed + s for s in range(S)]
+        idxs = draw_indices(seeds, obj.datasets, k, m)
+        got = sampled_gradients(obj, obj.datasets, xs, idxs)
+        assert got.shape == xs.shape
+        for s in range(S):
+            assert same_bits(got[s], sampled_gradients_oracle(obj, xs[s], [idx[s] for idx in idxs]))
 
     @settings(max_examples=100, deadline=None)
     @given(cases())
@@ -160,5 +166,6 @@ class TestEngineHotPath:
     def test_full_batch_and_single_sample(self):
         obj, _, x, _ = instance(9, 3, 4, 7, set())
         for m in (1, 7):
-            idxs = draw_indices(9, obj.datasets, 3, m)
-            assert same_bits(sampled_gradients(obj, obj.datasets, x, idxs), sampled_gradients_oracle(obj, x, idxs))
+            idxs = draw_indices([9], obj.datasets, 3, m)
+            got = sampled_gradients(obj, obj.datasets, x[None], idxs)[0]
+            assert same_bits(got, sampled_gradients_oracle(obj, x, [idx[0] for idx in idxs]))
