@@ -6,9 +6,9 @@ themselves, from their estimated size and the available cores (see
 ``engine.run_ensemble``).  The exit status is 0 on success; 1 when
 validate-scheme finds an inequality violated, or when run or sweep meets a
 scheme that fails validation without ``"force": true``; 2 when an input is
-rejected; and 3 when a run diverges.  A failure prints one line on stderr,
-``dpgt <command>: <message>``; a divergence names the seed, agent,
-iteration and variable.
+rejected; 3 when a run diverges; and 4 when a file cannot be read or
+written.  A failure prints one line on stderr, ``dpgt <command>: <message>``;
+a divergence names the seed, agent, iteration and variable.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Exit status of each failure class that main reports; no class here subclasses another.
-_EXIT_STATUS = ((ValidatorFailure, 1), (ValueError, 2), (DivergenceError, 3))
+_EXIT_STATUS = ((ValidatorFailure, 1), (ValueError, 2), (DivergenceError, 3), (OSError, 4))
 
 
 def main(argv=None) -> int:

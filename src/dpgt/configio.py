@@ -57,14 +57,26 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def check_document(doc: dict, what: str, keys) -> None:
-    """Reject a wrong schema_version and any key outside ``keys``."""
+def check_document(doc: dict, what: str, required, optional=()) -> None:
+    """Reject a wrong schema_version, any key outside ``required`` and ``optional``, and a missing required key."""
     v = doc.get("schema_version", SCHEMA_VERSION)
     if v != SCHEMA_VERSION:
         raise ValueError(f"{what}: unsupported schema_version {v}")
-    unknown = sorted(set(doc) - set(keys) - {"schema_version"})
+    unknown = sorted(set(doc) - set(required) - set(optional) - {"schema_version"})
     if unknown:
         raise ValueError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{what}: missing key(s) {', '.join(map(repr, missing))}")
+
+
+def _kind(doc: dict, what: str, kinds) -> str:
+    """The document's "kind", which must be one of ``kinds``."""
+    if "kind" not in doc:
+        raise ValueError(f"{what}: missing key(s) 'kind'")
+    if doc["kind"] not in kinds:
+        raise ValueError(f"{what}: unknown kind {doc['kind']!r}")
+    return doc["kind"]
 
 
 def graph_to_dict(gp: GraphPair) -> dict:
@@ -77,7 +89,7 @@ def graph_to_dict(gp: GraphPair) -> dict:
 
 
 def graph_from_dict(doc: dict) -> GraphPair:
-    check_document(doc, "graph", ("n", "R", "C"))
+    check_document(doc, "graph", ("R", "C"), ("n",))
     gp = build_graph_pair(doc["R"], doc["C"])
     if "n" in doc and int(doc["n"]) != gp.n:
         raise ValueError(f"graph: declared n={doc['n']} but matrices are {gp.n}x{gp.n}")
@@ -93,9 +105,7 @@ def scheme_to_dict(p: SchemeParams) -> dict:
 
 
 def scheme_from_dict(doc: dict) -> SchemeParams:
-    kind = doc.get("kind")
-    if kind not in SCHEME_KINDS:
-        raise ValueError(f"scheme: unknown kind {kind!r}")
+    kind = _kind(doc, "scheme", SCHEME_KINDS)
     names = [f.name for f in dataclasses.fields(SCHEME_KINDS[kind])]
     check_document(doc, f"{kind} scheme", ["kind", *names])
     return SCHEME_KINDS[kind](**{k: tuple(doc[k]) if isinstance(doc[k], list) else doc[k] for k in names})
@@ -118,30 +128,28 @@ def dataset_from_dict(doc: dict) -> Dataset:
     return ds
 
 
-# Keys of every objective document, and the extra keys of each kind.
-_OBJECTIVE_KEYS = ("kind", "n_agents", "dataset_files", "D", "data_seed")
-_OBJECTIVE_KIND_KEYS = {"quadratic": ("A", "dvec"), "trig": (), "logistic": ("dim",)}
+# Per kind: the keys an objective document needs besides "kind" and
+# "n_agents", and, where no "dataset_files" are given, the generator of its
+# data and the keys it needs to call it (between n_agents and data_seed).
+_OBJECTIVE_KINDS = {
+    "quadratic": (("A", "dvec"), generate_quadratic_datasets, ("D",)),
+    "trig": ((), generate_trig_datasets, ("D",)),
+    "logistic": ((), generate_logistic_datasets, ("D", "dim")),
+}
 
 
 def objective_from_dict(doc: dict, base_dir: Path | None = None) -> Objective:
     """Build an objective from its config document; data comes from files or a seed."""
-    kind = doc["kind"]
-    if kind not in _OBJECTIVE_KIND_KEYS:
-        raise ValueError(f"objective: unknown kind {kind!r}")
-    check_document(doc, f"{kind} objective", _OBJECTIVE_KEYS + _OBJECTIVE_KIND_KEYS[kind])
+    kind = _kind(doc, "objective", _OBJECTIVE_KINDS)
+    kind_keys, generate, data_keys = _OBJECTIVE_KINDS[kind]
+    required = ("kind", "n_agents", *kind_keys) + (() if "dataset_files" in doc else data_keys)
+    check_document(doc, f"{kind} objective", required, ("dataset_files", "data_seed", *data_keys))
     n = int(doc["n_agents"])
     if "dataset_files" in doc:
         root = base_dir or Path(".")
         datasets = [dataset_from_dict(load_json(root / f)) for f in doc["dataset_files"]]
     else:
-        D = int(doc["D"])
-        seed = int(doc.get("data_seed", 0))
-        if kind == "quadratic":
-            datasets = generate_quadratic_datasets(n, D, seed)
-        elif kind == "trig":
-            datasets = generate_trig_datasets(n, D, seed)
-        else:
-            datasets = generate_logistic_datasets(n, D, int(doc["dim"]), seed)
+        datasets = generate(n, *(int(doc[k]) for k in data_keys), int(doc.get("data_seed", 0)))
     if kind == "quadratic":
         return make_quadratic(np.asarray(doc["A"], float), np.asarray(doc["dvec"], float), n, datasets)
     if kind == "trig":

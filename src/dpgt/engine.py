@@ -511,16 +511,31 @@ class EnsembleResult:
     K: int
     n_runs: int
     seeds: tuple[int, ...]
-    mean_consensus_x: np.ndarray
-    mean_consensus_y: np.ndarray
-    mean_gap: np.ndarray
     mean_grad_norm_sq: np.ndarray  # (K+1, n)
     var_grad_norm_sq: np.ndarray
     mean_v: np.ndarray  # (K+2, 3) including the initial state
     se_v: np.ndarray
-    mean_final_grad: np.ndarray  # (n,)
-    se_final_grad: np.ndarray
     samples_cum: np.ndarray
+
+    @property
+    def mean_consensus_x(self) -> np.ndarray:
+        return self.mean_v[1:, 0]
+
+    @property
+    def mean_consensus_y(self) -> np.ndarray:
+        return self.mean_v[1:, 1]
+
+    @property
+    def mean_gap(self) -> np.ndarray:
+        return self.mean_v[1:, 2]
+
+    @property
+    def mean_final_grad(self) -> np.ndarray:
+        return self.mean_grad_norm_sq[-1]
+
+    @property
+    def se_final_grad(self) -> np.ndarray:
+        return np.sqrt(self.var_grad_norm_sq[-1]) / math.sqrt(self.n_runs)
 
     @property
     def mean_max_grad(self) -> np.ndarray:
@@ -677,21 +692,14 @@ def run_ensemble(
     R = len(trajectories)
     grad = np.stack([t.grad_norm_sq for t in trajectories])  # (R, K+1, n)
     vs = np.stack([t.v for t in trajectories])  # (R, K+2, 3)
-    finals = np.stack([t.final_grad_norm_sq for t in trajectories])  # (R, n)
     ddof = 1 if R > 1 else 0
-    se_scale = math.sqrt(R)
     return EnsembleResult(
         K=K,
         n_runs=R,
         seeds=tuple(seeds),
-        mean_consensus_x=np.mean([t.consensus_x for t in trajectories], axis=0),
-        mean_consensus_y=np.mean([t.consensus_y for t in trajectories], axis=0),
-        mean_gap=np.mean([t.gap for t in trajectories], axis=0),
         mean_grad_norm_sq=grad.mean(axis=0),
         var_grad_norm_sq=grad.var(axis=0, ddof=ddof),
         mean_v=vs.mean(axis=0),
-        se_v=vs.std(axis=0, ddof=ddof) / se_scale,
-        mean_final_grad=finals.mean(axis=0),
-        se_final_grad=finals.std(axis=0, ddof=ddof) / se_scale,
+        se_v=vs.std(axis=0, ddof=ddof) / math.sqrt(R),
         samples_cum=trajectories[0].samples_cum,
     )

@@ -130,10 +130,8 @@ def auto_adjacency_constant(obj: Objective) -> float:
     return swap_bound(obj, obj.datasets)
 
 
-_CONFIG_KEYS = (
-    "graph", "scheme", "objective", "horizons", "runs", "seed", "output_dir",
-    "phi", "baseline", "force", "adjacency_C", "seeds",
-)
+_CONFIG_REQUIRED_KEYS = ("graph", "scheme", "objective", "horizons", "runs", "seed", "output_dir")
+_CONFIG_OPTIONAL_KEYS = ("phi", "baseline", "force", "adjacency_C", "seeds")
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        """Load a run config; a wrong schema_version or an unknown key is an error."""
+        """Load a run config; a wrong schema_version, an unknown key or a missing one is an error."""
         doc = configio.load_json(path)
-        configio.check_document(doc, "config", _CONFIG_KEYS)
+        configio.check_document(doc, "config", _CONFIG_REQUIRED_KEYS, _CONFIG_OPTIONAL_KEYS)
         base = Path(path).parent
         return ExperimentConfig(
             graph_file=str(base / doc["graph"]),

@@ -18,11 +18,11 @@ gradient-noise bound, and a quadratic-growth constant for F):
 Each family is one evaluator class (``_Quadratic``, ``_Trig``, ``_Logistic``)
 with ``loss``, ``grad_batch``, ``global_value`` and ``global_gradient_rows``;
 ``Objective`` wraps one with the datasets and the declared constants.  The
-last three take leading batch axes, one independent point per lane, and each
-lane gets the bits of a call on that point alone: the engine evaluates every
-seed of an ensemble in one call.  Both closed-form losses are affine in the
-sample, so their classes also give the d = 1 mean sampled gradient from the
-samples' mean (``mean_gradient_d1``).
+last three take leading batch axes natively in every family, one independent
+point per lane, and each lane gets the bits of a call on that point alone:
+the engine evaluates every seed of an ensemble in one call.  Both closed-form
+losses are affine in the sample, so their classes also give the d = 1 mean
+sampled gradient from the samples' mean (``mean_gradient_d1``).
 
 The declared constants are treated as claims; ``verify_constants`` estimates
 each one by brute force and reports pass/fail per constant.  A small logistic
@@ -304,45 +304,45 @@ class _Trig:
         return 2.0 * x + (3.0 + xibar) * np.sin(2.0 * x) - 2.0 * xibar * np.sin(x)
 
 
-def _per_lane(method):
-    """Apply a method written for one point (d,) to every lane of x (..., d)."""
+def _margins(x: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """label * <features, x> per sample (..., d+1), with one gemv per lane of x (..., d)."""
+    return samples[..., -1] * _mv(samples[..., :-1], x)
 
-    def over_lanes(self, x, *rest):
-        if x.ndim == 1:
-            return method(self, x, *rest)
-        return np.array([over_lanes(self, *lane) for lane in zip(x, *rest)])
 
-    return over_lanes
+def _logistic_coef(x: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """d loss / d <features, x> per sample, without the ridge term."""
+    return -samples[..., -1] / (1.0 + np.exp(_margins(x, samples)))
 
 
 class _Logistic:
     """Logistic loss with a ridge term; each sample is (features..., label).
 
-    Leading batch axes are evaluated lane by lane.
+    F and its gradient reduce through each agent's (..., D) margins in turn:
+    no per-sample gradient block, and a lane's bits do not depend on the lane count.
     """
 
     def __init__(self, datasets, ridge: float):
         self.samples = [ds.samples for ds in datasets]
         self.ridge = ridge
 
-    def loss(self, x, xi) -> float:
-        margin = float(xi[-1]) * float(xi[:-1] @ x)
-        return float(np.logaddexp(0.0, -margin) + 0.5 * self.ridge * (x @ x))
+    def loss(self, x, xi):
+        return np.logaddexp(0.0, -_margins(x, xi)) + 0.5 * self.ridge * _dots(x)
 
-    @_per_lane
     def grad_batch(self, x, xis) -> np.ndarray:
-        feats, labels = xis[:, :-1], xis[:, -1]
-        margins = labels * (feats @ x)
-        coef = -labels / (1.0 + np.exp(margins))
-        return coef[:, None] * feats + self.ridge * x[None, :]
+        return _logistic_coef(x, xis)[..., None] * xis[..., :-1] + self.ridge * x[..., None, :]
 
-    @_per_lane
-    def global_value(self, x) -> float:
-        return float(np.mean([np.mean([self.loss(x, xi) for xi in s]) for s in self.samples]))
+    def global_value(self, x):
+        total = sum(np.logaddexp(0.0, -_margins(x, s)).mean(axis=-1) for s in self.samples)
+        return total / len(self.samples) + 0.5 * self.ridge * _dots(x)
 
-    @_per_lane
-    def global_gradient_rows(self, x) -> np.ndarray:
-        return np.mean([self.grad_batch(x, s).mean(axis=0) for s in self.samples], axis=0)
+    def global_gradient_rows(self, xs) -> np.ndarray:
+        total = sum(_mv(s[:, :-1].T, _logistic_coef(xs, s)) / s.shape[0] for s in self.samples)
+        return total / len(self.samples) + self.ridge * xs
+
+
+def _noise_var(g: np.ndarray) -> np.ndarray:
+    """Mean squared distance of per-sample gradients (..., m, d) from their mean, per lane."""
+    return ((g - g.mean(axis=-2, keepdims=True)) ** 2).sum(axis=-1).mean(axis=-1)
 
 
 def make_quadratic(A, dvec, n_agents: int, datasets) -> Objective:
@@ -446,20 +446,11 @@ def make_logistic(n_agents: int, datasets, ridge: float = 1e-2, seed: int = 0) -
     n = n_agents
     fam = _Logistic(datasets[:n], ridge)
 
-    # Curvature bound 0.25 * max ||f||^2 + ridge; noise bound from the pooled data.
-    all_samples = np.vstack(fam.samples)
-    feat_norms2 = (all_samples[:, :-1] ** 2).sum(axis=1)
-    L1 = 0.25 * float(feat_norms2.max()) + ridge
-    rng = np.random.default_rng(seed)
-    sig2 = 0.0
-    for _ in range(8):
-        x = rng.normal(0.0, 1.0, d)
-        for s in fam.samples:
-            g = fam.grad_batch(x, s)
-            sig2 = max(sig2, float(((g - g.mean(axis=0)) ** 2).sum(axis=1).mean()))
-    opt = scipy.optimize.minimize(
-        fam.global_value, np.zeros(d), jac=lambda x: fam.global_gradient_rows(x[None])[0], tol=1e-12
-    )
+    # Curvature bound 0.25 * max ||f||^2 + ridge; noise bound over every agent's data at 8 points.
+    L1 = 0.25 * max(float((s[:, :-1] ** 2).sum(axis=1).max()) for s in fam.samples) + ridge
+    xs = np.random.default_rng(seed).normal(0.0, 1.0, (8, d))
+    sig2 = max(float(_noise_var(fam.grad_batch(xs, s)).max()) for s in fam.samples)
+    opt = scipy.optimize.minimize(fam.global_value, np.zeros(d), jac=fam.global_gradient_rows, tol=1e-12)
 
     return Objective(
         kind="logistic",
@@ -535,8 +526,7 @@ def verify_constants(
     for _ in range(max(trials // 10, 10)):
         x = rng.normal(0.0, 2.0, d)
         for agent in range(obj.n_agents):
-            g = obj.grad_batch(x, obj.datasets[agent].samples)
-            var = max(var, float(((g - g.mean(axis=0)) ** 2).sum(axis=1).mean()))
+            var = max(var, float(_noise_var(obj.grad_batch(x, obj.datasets[agent].samples))))
     var_check = ConstantCheck(
         "gradient_noise_var", var, obj.sigma_g**2, margin, var <= obj.sigma_g**2 * (1.0 + margin)
     )
@@ -547,12 +537,11 @@ def verify_constants(
             xs = np.linspace(-3.0, 3.0, grid)[:, None]
         else:
             xs = rng.normal(0.0, 2.0, size=(grid, d))
-        ratio = math.inf
-        for x in xs:
-            gap = obj.global_value(x) - obj.F_star
-            if gap < 1e-10:
-                continue
-            ratio = min(ratio, float(np.linalg.norm(obj.global_gradient(x)) ** 2 / (2.0 * gap)))
+        gaps = obj.global_value(xs) - obj.F_star
+        # ||grad F||^2 at each point, by the arithmetic of float(np.linalg.norm(g) ** 2).
+        sq_norms = _lanes(_square, np.sqrt(_dots(obj.global_gradient_rows(xs))))
+        keep = gaps >= 1e-10
+        ratio = float(np.min(sq_norms[keep] / (2.0 * gaps[keep]), initial=math.inf))
         pl_check = ConstantCheck(
             "quadratic_growth", ratio, obj.mu, margin, ratio >= obj.mu * (1.0 - margin)
         )

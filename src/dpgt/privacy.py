@@ -104,14 +104,9 @@ def adjacency_constant(
     if mode == "empirical":
         if xs is None:
             raise ValueError("empirical mode needs a grid of points xs")
-        xi, xi_alt = ds.samples[l0], ds_alt.samples[l0]
-        worst = 0.0
-        for x in np.atleast_2d(xs):
-            worst = max(
-                worst,
-                float(np.abs(obj.grad(x, xi) - obj.grad(x, xi_alt)).sum()),
-            )
-        return worst
+        xs = np.atleast_2d(np.asarray(xs, float))
+        diff = obj.grad_batch(xs, ds.samples[None, l0]) - obj.grad_batch(xs, ds_alt.samples[None, l0])
+        return float(np.abs(diff).sum(axis=-1).max(initial=0.0))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -173,6 +173,22 @@ class TestCli:
             pattern = r"dpgt run: scheme fails admissibility checks: \[.*gamma.*\]\n"
         assert re.fullmatch(pattern, captured.err)
 
+    def test_unreadable_input_exits_4(self, workdir, capsys):
+        missing = workdir / "nonexistent.json"
+        assert main(["analyze-graph", str(missing)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgt analyze-graph: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_missing_key_is_named_and_exits_2(self, workdir, capsys):
+        scheme = configio.load_json(workdir / "scheme.json")
+        del scheme["beta"]
+        configio.dump_json(scheme, workdir / "scheme.json")
+        assert main(["run", "--config", str(workdir / "config.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dpgt run: S2 scheme: missing key(s) 'beta'\n"
+
     def test_bound_check(self, workdir, capsys):
         code, doc = run_cli(
             capsys, "bound-check", "--config", str(workdir / "config.json"), "--runs", "35",

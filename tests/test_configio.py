@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from dpgt import configio
 from dpgt.cli import main
+from dpgt.experiments import ExperimentConfig
 from dpgt.graphs import build_graph_pair
 from dpgt.objectives import generate_trig_datasets, make_dataset
 from dpgt.schemes import S1Params, S2Params
@@ -66,6 +67,58 @@ class TestStrictDocuments:
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(ValueError, match="schema_version"):
             configio.scheme_from_dict(dict(S2_DOC, schema_version=2))
+
+
+def without(doc: dict, *keys) -> dict:
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
+class TestMissingKeys:
+    """A reader names every required key its document lacks."""
+
+    def test_graph(self):
+        M = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^graph: missing key\(s\) 'C'$"):
+            configio.graph_from_dict({"schema_version": 1, "n": 2, "R": M})
+        assert configio.graph_from_dict({"R": M, "C": M}).n == 2  # "n" is optional
+
+    @pytest.mark.parametrize("doc", [S1_DOC, S2_DOC])
+    def test_scheme_needs_every_field_of_its_kind(self, doc):
+        missing = [k for k in doc if k not in ("schema_version", "kind")]
+        for key in missing:
+            with pytest.raises(ValueError, match=rf"^{doc['kind']} scheme: missing key\(s\) '{key}'$"):
+                configio.scheme_from_dict(without(doc, key))
+        with pytest.raises(ValueError, match=r"^scheme: missing key\(s\) 'kind'$"):
+            configio.scheme_from_dict(without(doc, "kind"))
+
+    def test_dataset(self):
+        doc = configio.dataset_to_dict(generate_trig_datasets(1, 5, seed=0)[0])
+        with pytest.raises(ValueError, match=r"^dataset: missing key\(s\) 'agent', 'r'$"):
+            configio.dataset_from_dict(without(doc, "agent", "r"))
+
+    def test_objective(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^objective: missing key\(s\) 'kind'$"):
+            configio.objective_from_dict(without(QUADRATIC_DOC, "kind"))
+        with pytest.raises(ValueError, match=r"^quadratic objective: missing key\(s\) 'dvec', 'D'$"):
+            configio.objective_from_dict(without(QUADRATIC_DOC, "dvec", "D"))
+        logistic = {"kind": "logistic", "n_agents": 2, "D": 10}
+        with pytest.raises(ValueError, match=r"^logistic objective: missing key\(s\) 'dim'$"):
+            configio.objective_from_dict(logistic)
+        # Data read from files needs neither D nor dim.
+        configio.dump_json(configio.dataset_to_dict(make_dataset(0, np.ones((3, 2)))), tmp_path / "a.json")
+        files = {"kind": "logistic", "n_agents": 1, "dataset_files": ["a.json"]}
+        assert configio.objective_from_dict(files, tmp_path).dim == 1
+
+    def test_run_config(self, tmp_path):
+        doc = {
+            "graph": "g.json", "scheme": "s.json", "objective": "o.json", "horizons": [1],
+            "runs": 2, "seed": 0, "output_dir": "out",
+        }
+        configio.dump_json(doc, tmp_path / "config.json")
+        assert ExperimentConfig.from_file(tmp_path / "config.json").runs == 2
+        configio.dump_json(without(doc, "horizons"), tmp_path / "config.json")
+        with pytest.raises(ValueError, match=r"^config: missing key\(s\) 'horizons'$"):
+            ExperimentConfig.from_file(tmp_path / "config.json")
 
 
 class TestWrittenDocumentsLoad:

@@ -299,6 +299,31 @@ class TestRunExperiment:
         with pytest.raises(ValidatorFailure):
             run_experiment(config)
 
+    def test_logistic_run_end_to_end(self, experiment_dir):
+        # The fixture's scheme is sized for the quadratic's constants; the
+        # logistic demo declares mu = 0, so the run is forced past validation.
+        configio.dump_json(
+            {"schema_version": 1, "kind": "logistic", "n_agents": 3, "D": 40, "dim": 3, "data_seed": 2},
+            experiment_dir / "objective.json",
+        )
+        doc = configio.load_json(experiment_dir / "config.json")
+        doc.update(horizons=[5, 20], force=True)
+        configio.dump_json(doc, experiment_dir / "config.json")
+        config = ExperimentConfig.from_file(experiment_dir / "config.json")
+        out = experiment_dir / "out"
+
+        def bundle() -> dict:
+            run_experiment(config)
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        first = bundle()
+        assert sorted(first) == ["summary.json", "trace_K20.csv", "trace_K5.csv"]
+        summary = json.loads(first["summary.json"])
+        for K in ("5", "20"):
+            assert math.isfinite(summary["horizons"][K]["final_gap"])
+            assert math.isfinite(summary["horizons"][K]["eps_max"])
+        assert bundle() == first
+
 
 class TestConfigFile:
     def test_unknown_key_rejected_by_name(self, experiment_dir):

@@ -349,3 +349,25 @@ class TestLogisticDemo:
             e[j] = h
             num[j] = (obj.loss(x + e, xi) - obj.loss(x - e, xi)) / (2 * h)
         assert np.linalg.norm(g - num) <= 1e-5
+
+    # The per-sample loops the vectorized evaluators replaced, fixed as an oracle.
+    # Both sides sum the same terms in other orders: F within a relative 1e-12,
+    # each gradient entry within 1e-12 relative plus 1e-13 absolute.
+    @staticmethod
+    def loop_value(obj, x) -> float:
+        return float(np.mean([np.mean([obj.loss(x, xi) for xi in ds.samples]) for ds in obj.datasets]))
+
+    @staticmethod
+    def loop_gradient(obj, x) -> np.ndarray:
+        return np.mean([np.mean([obj.grad(x, xi) for xi in ds.samples], axis=0) for ds in obj.datasets], axis=0)
+
+    @pytest.mark.parametrize("n, D, dim, seed", [(2, 20, 3, 4), (5, 200, 10, 0), (3, 41, 1, 2)])
+    def test_global_evaluators_match_the_per_sample_loops(self, n, D, dim, seed):
+        obj = make_logistic(n, generate_logistic_datasets(n, D, dim=dim, seed=seed))
+        xs = np.random.default_rng(seed).normal(0.0, 1.5, (6, dim))
+        xs[0] = 0.0
+        values = obj.global_value(xs)
+        rows = obj.global_gradient_rows(xs)
+        for x, value, row in zip(xs, values, rows):
+            assert value == pytest.approx(self.loop_value(obj, x), rel=1e-12, abs=0.0)
+            assert np.allclose(row, self.loop_gradient(obj, x), rtol=1e-12, atol=1e-13)
