@@ -146,7 +146,9 @@ def _cmd_bound_check(args) -> int:
     )
     sc = spectral_constants(gp)
     K = max(config.horizons)
-    seeds = [config.seed + r for r in range(args.runs)] if args.runs else config.seed_list()
+    seeds = config.seed_list()
+    if args.runs:  # that many seeds from the config's first
+        seeds = [seeds[0] + r for r in range(args.runs)]
     model = build_model(sc, scheme, ObjectiveConstants.of(obj), K, obj.dim)
     contraction = contraction_check(model)
     ens = run_ensemble(gp, scheme, obj, K, seeds, sc=sc)

@@ -288,10 +288,11 @@ def update(
     (x_next, y_next, g_next).
     """
     a, b, c = rates.alpha, rates.beta, rates.gamma
-    x_next = (1.0 - a * gp.row_sums_R)[:, None] * x + a * (gp.R @ xb) - c * y
+    keep_x, keep_y = gp.mixing_coefficients(a, b)
+    x_next = keep_x * x + a * (gp.R @ xb) - c * y
     _guard("state", x_next, k + 1)
     g_next = grad_at(x_next)
-    y_next = (1.0 - b * gp.col_sums_C)[:, None] * y + b * (gp.C @ yb) + g_next - g
+    y_next = keep_y * y + b * (gp.C @ yb) + g_next - g
     _guard("tracking", y_next, k + 1)
     return x_next, y_next, g_next
 
@@ -562,14 +563,14 @@ def _large(obj: Objective, K: int, n_seeds: int) -> bool:
     return n_seeds * (K + 2) * seed_step_s >= _POOL_MIN_S
 
 
-def _workers(n_seeds: int) -> int:
-    """Processes for a large ensemble: one per core up to one per seed, or 1 (serial).
+def _workers(n_tasks: int) -> int:
+    """Processes for a large ensemble or a large pair's spectra: one per core up to one per task, or 1 (serial).
 
     Serial while other threads are alive, since a forked child may inherit a
     lock one of them holds, and inside a daemonic process, which may not
     start children.
     """
-    workers = min(n_seeds, _cores())
+    workers = min(n_tasks, _cores())
     if workers < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing  # here, so that importing dpgt does not pay for it
@@ -608,7 +609,7 @@ def _run_forked(fn, args: list) -> list:
                 results.append(reader.recv())
             except EOFError:
                 proc.join()
-                raise RuntimeError(f"an ensemble worker exited with code {proc.exitcode}") from None
+                raise RuntimeError(f"a forked worker exited with code {proc.exitcode}") from None
     except BaseException:
         for _, proc in children:
             proc.terminate()

@@ -130,8 +130,10 @@ def auto_adjacency_constant(obj: Objective) -> float:
     return swap_bound(obj, obj.datasets)
 
 
-_CONFIG_REQUIRED_KEYS = ("graph", "scheme", "objective", "horizons", "runs", "seed", "output_dir")
-_CONFIG_OPTIONAL_KEYS = ("phi", "baseline", "force", "adjacency_C", "seeds")
+_CONFIG_REQUIRED_KEYS = ("graph", "scheme", "objective", "horizons", "output_dir")
+_CONFIG_OPTIONAL_KEYS = ("phi", "baseline", "force", "adjacency_C")
+# The alternative to an explicit "seeds" list: a count and a first seed.
+_CONFIG_SEED_KEYS = ("runs", "seed")
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,8 @@ class ExperimentConfig:
     scheme_file: str
     objective_file: str
     horizons: tuple[int, ...]
-    runs: int
-    seed: int
+    runs: int | None  # with seed, the seeds seed .. seed + runs - 1; None with an explicit list
+    seed: int | None
     output_dir: str
     phi: float | None = None
     baseline: bool = False
@@ -150,7 +152,9 @@ class ExperimentConfig:
     seeds: tuple[int, ...] | None = None  # explicit list overrides seed+runs
 
     def __post_init__(self):
-        if self.runs < 1:
+        if self.seeds is None and (self.runs is None or self.seed is None):
+            raise ValueError("config: give an explicit seeds list, or both runs and seed")
+        if self.runs is not None and self.runs < 1:
             raise ValueError("runs must be >= 1")
         if list(self.horizons) != sorted(self.horizons) or min(self.horizons) < 0:
             raise ValueError("horizons must be nonnegative and ascending")
@@ -162,17 +166,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        """Load a run config; a wrong schema_version, an unknown key or a missing one is an error."""
+        """Load a run config; a wrong schema_version, an unknown key or a missing one is an error.
+
+        ``seeds`` and the pair ``runs``/``seed`` are alternatives: without
+        ``seeds``, both of the pair are required.
+        """
         doc = configio.load_json(path)
-        configio.check_document(doc, "config", _CONFIG_REQUIRED_KEYS, _CONFIG_OPTIONAL_KEYS)
+        seed_keys = ("seeds",) if "seeds" in doc else _CONFIG_SEED_KEYS
+        configio.check_document(
+            doc, "config", _CONFIG_REQUIRED_KEYS + seed_keys, _CONFIG_OPTIONAL_KEYS + ("seeds", *_CONFIG_SEED_KEYS)
+        )
         base = Path(path).parent
         return ExperimentConfig(
             graph_file=str(base / doc["graph"]),
             scheme_file=str(base / doc["scheme"]),
             objective_file=str(base / doc["objective"]),
             horizons=tuple(int(k) for k in doc["horizons"]),
-            runs=int(doc["runs"]),
-            seed=int(doc["seed"]),
+            runs=int(doc["runs"]) if "runs" in doc else None,
+            seed=int(doc["seed"]) if "seed" in doc else None,
             output_dir=str(base / doc["output_dir"]),
             phi=doc.get("phi"),
             baseline=bool(doc.get("baseline", False)),
@@ -241,6 +252,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "objective": configio.file_sha256(config.objective_file),
         },
         "config": dataclasses.asdict(config),
+        "seeds": config.seed_list(),
         "validator": _validate(scheme, sc, obj, config.force),
         "budget_finiteness": check_budget_finiteness(scheme, gp).to_dict(),
         "horizons": {},
@@ -252,7 +264,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     final_by_K: dict[int, np.ndarray] = {}
     for K in config.horizons:
-        ens = run_ensemble(gp, scheme, obj, K, config.seed_list(), sc=sc, noise_off=config.baseline)
+        ens = run_ensemble(gp, scheme, obj, K, summary["seeds"], sc=sc, noise_off=config.baseline)
         budget: BudgetReport | None = None
         if not config.baseline:
             budget = epsilon(sensitivity_trace(gp, scheme, C, K), scheme, K)

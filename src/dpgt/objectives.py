@@ -486,11 +486,6 @@ class ConstantsReport:
     variance: ConstantCheck
     pl: ConstantCheck | None
 
-    @property
-    def all_passed(self) -> bool:
-        checks = [self.lipschitz, self.variance] + ([self.pl] if self.pl else [])
-        return all(c.passed for c in checks)
-
 
 def verify_constants(
     obj: Objective,

@@ -128,11 +128,12 @@ def _rows(n: int, K: int, rows) -> np.ndarray:
 
 
 def sensitivity_trace(gp: GraphPair, scheme: SchemeParams, C: float, K: int) -> SensitivityTrace:
-    """The sensitivity recursions, one agent row at a time.
+    """The sensitivity recursions, once per distinct damping pair (q_y, q_x).
 
     Each row is a first-order recursion run by ``itertools.accumulate``
     straight into the array, with the same float operations in the same
-    order as a per-k update of both rows.
+    order as a per-k update of both rows.  An agent's rows depend only on
+    its damping pair, so agents with equal pairs get copies of one run.
     """
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"adjacency constant C must be finite and positive, got {C!r}")
@@ -143,15 +144,20 @@ def sensitivity_trace(gp: GraphPair, scheme: SchemeParams, C: float, K: int) -> 
     q_x = np.abs(1.0 - rates.alpha * gp.row_sums_R).tolist()
     q_y = np.abs(1.0 - rates.beta * gp.col_sums_C).tolist()
     gamma = rates.gamma
-    dy = _rows(n, K, (
+    pairs = list(zip(q_y, q_x))
+    runs = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}  # each distinct pair's run
+    dy = _rows(len(runs), K, (
         accumulate(repeat(2.0 * C * inv_m, K), lambda y, u, q=q: q * y + u, initial=C * inv_m)
-        for q in q_y
+        for q, _ in runs
     ))
     # A memoryview of a row yields Python floats, with no list of K of them.
-    dx = _rows(n, K, (
+    dx = _rows(len(runs), K, (
         accumulate(row[:-1].data, lambda x, v, q=q: q * x + gamma * v, initial=0.0)
-        for q, row in zip(q_x, dy)
+        for (_, q), row in zip(runs, dy)
     ))
+    if len(runs) < n:
+        agent_runs = [runs[pair] for pair in pairs]
+        dx, dy = dx[agent_runs], dy[agent_runs]
     return SensitivityTrace(K=K, C=C, m=rates.m, dx=dx, dy=dy, gp=gp)
 
 
@@ -168,7 +174,8 @@ class BudgetReport:
         return float(self.eps.max())
 
 
-#: Budget terms computed per block of iterations in :func:`epsilon`.
+#: Budget terms computed per block in :func:`epsilon`: a block holds as many
+#: iterations of every agent as fit.
 _BUDGET_BLOCK = 4096
 
 
@@ -184,19 +191,18 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
     rates = rates_at(scheme, K)
     n = trace.dx.shape[0]
     inc = np.zeros((n, K + 1))
-    for i in range(n):
-        # Blocks of k bound the temporaries; whole-row ones at K = 1e5 raised
-        # the peak resident set of a budget run by about 2%.
-        for k0 in range(0, K + 1, _BUDGET_BLOCK):
-            block = slice(k0, k0 + _BUDGET_BLOCK)
-            for sens, scale in zip((trace.dx[i, block], trace.dy[i, block]),
-                                   rates.sigma_rows(i, range(K + 1)[block])):
-                no_noise = ~(scale > 0.0)
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    np.divide(sens, scale, out=scale)
-                scale[no_noise] = math.inf
-                scale[sens == 0.0] = 0.0
-                inc[i, block] += scale  # 0.0 + zeta term + eta term
+    # Blocks of k bound the temporaries; whole-row ones at K = 1e5 raised
+    # the peak resident set of a budget run by about 2%.
+    width = max(1, _BUDGET_BLOCK // n)
+    for k0 in range(0, K + 1, width):
+        block = slice(k0, k0 + width)
+        for sens, scale in zip((trace.dx[:, block], trace.dy[:, block]), rates.sigma_rows(range(K + 1)[block])):
+            no_noise = ~(scale > 0.0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.divide(sens, scale, out=scale)
+            scale[no_noise] = math.inf
+            scale[sens == 0.0] = 0.0
+            inc[:, block] += scale  # 0.0 + zeta term + eta term
     finiteness = check_budget_finiteness(scheme, trace.gp)
     return BudgetReport(
         K=K,

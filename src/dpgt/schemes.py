@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import ClassVar, Union
 
 import numpy as np
@@ -142,22 +142,24 @@ class Rates:
         zeta, eta = ([ci * base**qi for ci, qi in zip(c, q)] for c, q in zip(self.c, self.q))
         return zeta, eta
 
-    def sigma_rows(self, agent: int, ks: range) -> tuple[np.ndarray, np.ndarray]:
-        """The agent's entries of :meth:`sigma_cols` for k in a step-1 range, bit for bit.
+    def sigma_rows(self, ks: range) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's entries of :meth:`sigma_cols` for k in a step-1 range, bit for bit: two (n, len(ks)) arrays.
 
         Powers stay Python floats, since ``np.power`` can differ from ``**``
-        in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.  A zero
-        exponent leaves c exactly, with no powers to take.
+        in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.  Each
+        distinct exponent's powers are taken once for both roles, and a zero
+        exponent's are ones, with no powers to take (x**0.0 == 1.0 and
+        c * 1.0 == c).
         """
+        n, width = len(self.c[0]), len(ks)
         if self.noise_off:
-            return np.zeros(len(ks)), np.zeros(len(ks))
-        zeta, eta = (
-            np.full(len(ks), c[agent]) if q[agent] == 0.0
-            else c[agent] * np.fromiter(
-                map(pow, map(float, range(ks.start + 1, ks.stop + 1)), repeat(q[agent])), float, len(ks)
-            )
-            for c, q in zip(self.c, self.q)
-        )
+            return np.zeros((n, width)), np.zeros((n, width))
+        bases = range(ks.start + 1, ks.stop + 1)
+        powers = {
+            q: np.ones(width) if q == 0.0 else np.fromiter(map(pow, map(float, bases), repeat(q)), float, width)
+            for q in set(chain(*self.q))
+        }
+        zeta, eta = (np.array(c)[:, None] * np.array([powers[qi] for qi in q]) for c, q in zip(self.c, self.q))
         return zeta, eta
 
     @property

@@ -120,6 +120,25 @@ class TestMissingKeys:
         with pytest.raises(ValueError, match=r"^config: missing key\(s\) 'horizons'$"):
             ExperimentConfig.from_file(tmp_path / "config.json")
 
+    RUN_CONFIG = {"graph": "g.json", "scheme": "s.json", "objective": "o.json", "horizons": [1], "output_dir": "out"}
+
+    def test_run_config_with_seeds_needs_neither_runs_nor_seed(self, tmp_path):
+        configio.dump_json(dict(self.RUN_CONFIG, seeds=[3, 4]), tmp_path / "config.json")
+        config = ExperimentConfig.from_file(tmp_path / "config.json")
+        assert config.seed_list() == [3, 4]
+        assert (config.runs, config.seed) == (None, None)
+
+    def test_run_config_without_seeds_or_runs_and_seed_is_rejected(self, tmp_path):
+        configio.dump_json(self.RUN_CONFIG, tmp_path / "config.json")
+        with pytest.raises(ValueError, match=r"^config: missing key\(s\) 'runs', 'seed'$"):
+            ExperimentConfig.from_file(tmp_path / "config.json")
+        configio.dump_json(dict(self.RUN_CONFIG, runs=2), tmp_path / "config.json")
+        with pytest.raises(ValueError, match=r"^config: missing key\(s\) 'seed'$"):
+            ExperimentConfig.from_file(tmp_path / "config.json")
+        fields = dict(graph_file="g", scheme_file="s", objective_file="o", horizons=(1,), output_dir="out")
+        with pytest.raises(ValueError, match="explicit seeds list, or both runs and seed"):
+            ExperimentConfig(runs=2, seed=None, **fields)
+
 
 class TestWrittenDocumentsLoad:
     def test_graph_round_trip(self):

@@ -291,6 +291,16 @@ class TestRunExperiment:
         b = run_experiment(explicit)
         assert a["horizons"] == b["horizons"]  # same seeds either way
 
+    def test_summary_records_the_seeds_run(self, experiment_dir):
+        # The explicit list overrides runs = 4, and the summary names the seeds run.
+        doc = configio.load_json(experiment_dir / "config.json")
+        doc.update(horizons=[0, 5], seeds=[40, 7])
+        configio.dump_json(doc, experiment_dir / "config.json")
+        run_experiment(ExperimentConfig.from_file(experiment_dir / "config.json"))
+        summary = json.loads((experiment_dir / "out" / "summary.json").read_text())
+        assert summary["seeds"] == [40, 7]
+        assert summary["horizons"]["5"]["runs"] == 2
+
     def test_validator_failure_blocks_without_force(self, experiment_dir):
         bad = configio.load_json(experiment_dir / "scheme.json")
         bad["gamma"] = 0.9

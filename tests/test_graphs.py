@@ -1,16 +1,21 @@
+import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from dpgt import engine, graphs
 from dpgt.graphs import (
     ConnectivityError,
     DegenerateGraphError,
     DimensionMismatchError,
+    EigensolverError,
     GraphValidationError,
     NegativeEntryError,
     NonFiniteEntryError,
+    SpectralConstants,
     _sum_cap,
     build_graph_pair,
     check_connectivity,
@@ -234,3 +239,100 @@ class TestSpectralConstants:
                 near_zero = np.abs(eigs) < 1e-8 * (1 + rho)
                 assert near_zero.sum() == 1
                 assert (eigs[~near_zero].real > 0).all()
+
+
+def dense_pair(n, seed):
+    """All-to-all pair with weights in [0.15, 0.25] and no self-loops, as in the benchmark."""
+    rng = np.random.default_rng(seed)
+    R, C = rng.uniform(0.15, 0.25, (2, n, n))
+    np.fill_diagonal(R, 0.0)
+    np.fill_diagonal(C, 0.0)
+    return build_graph_pair(R, C)
+
+
+def give_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def spy_forks(monkeypatch) -> list:
+    """Record the block count of every forked call spectral_constants makes."""
+    calls = []
+    real = engine._run_forked
+
+    def spy(fn, blocks):
+        calls.append(len(blocks))
+        return real(fn, blocks)
+
+    monkeypatch.setattr(engine, "_run_forked", spy)
+    return calls
+
+
+def no_fork(*args, **kwargs):
+    raise AssertionError("spectra were forked")
+
+
+def plant(monkeypatch, planted: dict):
+    """Make spectrum return, or raise, planted[id(M)] for the planted matrices.
+
+    Forked children inherit the patch, and the matrices they receive are the
+    parent's own objects, so identities hold there too.
+    """
+    real = graphs.spectrum
+
+    def fake(M, *args, **kwargs):
+        if id(M) not in planted:
+            return real(M, *args, **kwargs)
+        result = planted[id(M)]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(graphs, "spectrum", fake)
+
+
+class TestForkedSpectra:
+    def test_pooled_equals_serial_at_the_size_cap(self, monkeypatch):
+        gp = dense_pair(256, 3)
+        forks = spy_forks(monkeypatch)
+        give_cores(monkeypatch, 2)
+        pooled = spectral_constants(gp)
+        assert forks == [2]
+        give_cores(monkeypatch, 1)
+        serial = spectral_constants(gp)
+        assert forks == [2]
+        for f in dataclasses.fields(SpectralConstants):
+            got, want = (np.asarray(getattr(sc, f.name)) for sc in (pooled, serial))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [
+            ({"R": EigensolverError("R failed")}, (EigensolverError, "R failed")),
+            ({"R": EigensolverError("R failed"), "C": EigensolverError("C failed")}, (EigensolverError, "R failed")),
+            ({"L2": EigensolverError("L2 failed"), "R": EigensolverError("R failed")}, (EigensolverError, "L2 failed")),
+            # L1's zero eigenvalue is found not simple before R's spectrum is read.
+            ({"L1": np.zeros(5, complex), "R": EigensolverError("R failed")}, (DegenerateGraphError, "L1: expected")),
+            ({"C": GraphValidationError("C too big")}, (GraphValidationError, "C too big")),
+        ],
+    )
+    def test_error_type_and_order_pooled_as_serial(self, monkeypatch, failing, raised):
+        gp = random_rooted_pair(np.random.default_rng(4))
+        plant(monkeypatch, {id(getattr(gp, name)): result for name, result in failing.items()})
+        monkeypatch.setattr(graphs, "_FORK_MIN_N", 1)
+        forks = spy_forks(monkeypatch)
+        kind, message = raised
+        for cores in (2, 1):
+            give_cores(monkeypatch, cores)
+            with pytest.raises(Exception) as caught:
+                spectral_constants(gp)
+            assert type(caught.value) is kind
+            assert str(caught.value).startswith(message)
+        assert forks == [2]  # the first pass forked, the one-core pass did not
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_small_pairs_never_fork(self, monkeypatch, n):
+        # The benchmark self-test pins the traced spectrum count at its n = 16
+        # pair, which calls in forked children would miss.
+        give_cores(monkeypatch, 8)
+        monkeypatch.setattr(engine, "_run_forked", no_fork)
+        spectral_constants(dense_pair(n, 1))

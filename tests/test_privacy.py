@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpgt import privacy
 from dpgt.graphs import build_graph_pair
 from dpgt.objectives import (
     generate_logistic_datasets,
@@ -350,6 +352,80 @@ class TestBudgetLinearity:
         for j in (-7, 1, 5):
             got = epsilon(sensitivity_trace(gp, scheme, 2.0**j, K), scheme, K).eps
             assert np.array_equal(got, 2.0**j * eps)
+
+
+def per_row_reference(gp, rates, C, K):
+    """dx, dy and the budget increments, one agent and one k at a time, from the recursions and the composition sum."""
+    inv_m = 0.0 if not math.isfinite(rates.m) else 1.0 / rates.m
+    dx, dy, inc = np.zeros((3, gp.n, K + 1))
+    for i in range(gp.n):
+        q_x = abs(1.0 - rates.alpha * float(gp.row_sums_R[i]))
+        q_y = abs(1.0 - rates.beta * float(gp.col_sums_C[i]))
+        x, y = 0.0, C * inv_m
+        for k in range(K + 1):
+            if k > 0:
+                x, y = q_x * x + rates.gamma * y, q_y * y + 2.0 * C * inv_m
+            dx[i, k], dy[i, k] = x, y
+            total = 0.0
+            for sens, r in ((x, 0), (y, 1)):
+                scale = 0.0 if rates.noise_off else rates.c[r][i] * (k + 1.0) ** rates.q[r][i]
+                total += 0.0 if sens == 0.0 else (sens / scale if scale > 0.0 else math.inf)
+            inc[i, k] = total
+    return dx, dy, inc
+
+
+# Per-agent sums drawn from a few values, so that damping pairs and noise
+# exponents are often shared between agents and often distinct.
+_SUMS = st.sampled_from([0.3, 0.5, 1.0])
+
+
+@st.composite
+def accountant_case(draw):
+    n = draw(st.integers(1, 4))
+    row, col = (draw(st.lists(_SUMS, min_size=n, max_size=n)) for _ in range(2))
+    R, Cm = np.zeros((2, n, n))
+    for i in range(n):
+        R[i, (i + 1) % n] = row[i]  # row i of R sums to row[i]
+        Cm[(i + 1) % n, i] = col[i]  # column i of C sums to col[i]
+    if draw(st.booleans()):
+        exps = st.sampled_from([0.0, 0.1, 0.5, -0.3])
+        scheme = S1Params(
+            a1=draw(st.floats(0.05, 1.5)), a2=draw(st.floats(0.05, 1.5)), a3=draw(st.floats(0.01, 2.0)),
+            a4=draw(st.sampled_from([0.0, 1e-3, 0.5])), p_alpha=0.987, p_beta=0.69, p_gamma=0.997, p_m=2.0,
+            p_zeta=tuple(draw(st.lists(exps, min_size=n, max_size=n))),
+            p_eta=tuple(draw(st.lists(exps, min_size=n, max_size=n))),
+        )
+    else:
+        bases = st.sampled_from([0.2, 0.5, 0.93])
+        scheme = S2Params(
+            alpha=draw(st.floats(0.05, 1.5)), beta=draw(st.floats(0.05, 1.5)), gamma=draw(st.floats(0.001, 0.5)),
+            p_m=1.1, p_zeta=tuple(draw(st.lists(bases, min_size=n, max_size=n))),
+            p_eta=tuple(draw(st.lists(bases, min_size=n, max_size=n))),
+        )
+    return build_graph_pair(R, Cm), scheme
+
+
+class TestAccountantAgainstPerRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=accountant_case(),
+        C=st.floats(0.1, 5.0),
+        K=st.integers(0, 60),
+        block=st.sampled_from([1, 7, 4096]),
+        noise_off=st.booleans(),
+    )
+    def test_trace_and_budget_equal_the_reference_bit_for_bit(self, case, C, K, block, noise_off):
+        gp, scheme = case
+        rates = dataclasses.replace(rates_at(scheme, K), noise_off=noise_off)
+        with mock.patch.object(privacy, "_BUDGET_BLOCK", block), \
+                mock.patch.object(privacy, "rates_at", lambda params, K: rates):
+            trace = sensitivity_trace(gp, scheme, C, K)
+            budget = epsilon(trace, scheme, K)
+        dx, dy, inc = per_row_reference(gp, rates, C, K)
+        assert trace.dx.tobytes() == dx.tobytes()
+        assert trace.dy.tobytes() == dy.tobytes()
+        assert budget.increments.tobytes() == inc.tobytes()
+        assert budget.eps.tobytes() == inc.sum(axis=1).tobytes()
 
 
 class TestCoupledRuns:

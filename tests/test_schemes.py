@@ -105,8 +105,9 @@ class TestRates:
             params = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.1, p_zeta=bases[0], p_eta=bases[1])
         rates = dataclasses.replace(rates_at(params, 50), noise_off=noise_off)
         ks = range(k0, k0 + length)
-        for role, got in enumerate(rates.sigma_rows(1, ks)):
-            assert got.tobytes() == np.array([rates.sigma_cols(k)[role][1] for k in ks], dtype=float).tobytes()
+        for role, got in enumerate(rates.sigma_rows(ks)):
+            want = np.array([rates.sigma_cols(k)[role] for k in ks], dtype=float).reshape(length, 2).T
+            assert got.shape == (2, length) and got.tobytes() == want.tobytes()
 
     def test_geometric_overflow_guard(self):
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.5, p_zeta=(0.9,), p_eta=(0.9,))
