@@ -6,9 +6,11 @@ themselves, from their estimated size and the available cores (see
 ``engine.run_ensemble``).  The exit status is 0 on success; 1 when
 validate-scheme finds an inequality violated, or when run or sweep meets a
 scheme that fails validation without ``"force": true``; 2 when an input is
-rejected; 3 when a run diverges; and 4 when a file cannot be read or
-written.  A failure prints one line on stderr, ``dpgt <command>: <message>``;
-a divergence names the seed, agent, iteration and variable.
+rejected (a ``ValueError``) or the eigensolver fails on a graph pair
+(``graphs.EigensolverError``); 3 when a run diverges; and 4 when a file cannot
+be read or written.  A failure prints one line on stderr,
+``dpgt <command>: <message>``; a divergence names the seed, agent, iteration
+and variable.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .experiments import (
     run_experiment,
     run_sweep,
 )
-from .graphs import spectral_constants
+from .graphs import EigensolverError, spectral_constants
 from .objectives import (
     generate_quadratic_datasets,
     generate_trig_datasets,
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Exit status of each failure class that main reports; no class here subclasses another.
-_EXIT_STATUS = ((ValidatorFailure, 1), (ValueError, 2), (DivergenceError, 3), (OSError, 4))
+_EXIT_STATUS = ((ValidatorFailure, 1), (ValueError, 2), (EigensolverError, 2), (DivergenceError, 3), (OSError, 4))
 
 
 def main(argv=None) -> int:

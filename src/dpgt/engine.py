@@ -31,14 +31,20 @@ from a fresh Philox stream keyed by (seed, agent, iteration, role), so the
 trajectory is independent of evaluation order and identical across reruns.
 Seeds are therefore independent lanes, and the engine is written once for a
 leading lane axis: the keyed draws, the state and the loop all take a list of
-seeds and arrays of shape (S, n, d), and every array operation acts on each
-lane as it acts on one seed's arrays.  A one-seed :func:`run` is a chunk of
-one lane.  :func:`run_ensemble` has two paths through that loop.  A small
+seeds and arrays of shape (G·S, n, d), and every array operation acts on each
+lane as it acts on one seed's arrays.  The G groups of S lanes are horizons:
+no key names the horizon, so the runs of one seed at several horizons share
+x_0, every index permutation (a horizon's m-sample is a prefix of it) and
+every Laplace block up to its scale.  A chunk draws each of these once per
+seed and hands it to every group.  A one-seed :func:`run` is a chunk of one
+lane.  :func:`run_ensemble` has two paths through that loop.  A small
 ensemble runs seed after seed through :func:`run`; the benchmark self-test
 counts the calls of that path.  A large one runs in forked worker processes,
 one contiguous block of seeds each, and advances each block's seeds together
-in chunks, with one gradient pass per agent and one metrics pass per step for
-the whole chunk.  The bits are the same either way.
+in chunks, with one gradient pass per agent and group and one metrics pass
+per step for the whole chunk.  :func:`run_horizons` runs a large sweep of
+horizons the same way, every horizon's lanes in one chunk.  The bits are the
+same every way.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ __all__ = [
     "step",
     "run",
     "run_ensemble",
+    "run_horizons",
     "compact_step",
 ]
 
@@ -96,7 +103,7 @@ _SAMPLE_S = 14e-9
 _POOL_MIN_S = 0.05
 
 # Bound on the per-sample gradients of a batched chunk of seeds, S * n * m * d
-# floats; a block runs in chunks of as many seeds as fit.
+# floats summed over its horizons; a block runs in chunks of as many seeds as fit.
 _CHUNK_BYTES = 1 << 23
 
 
@@ -109,7 +116,8 @@ class DivergenceError(RuntimeError):
 
     ``variable`` ("state" or "tracking"), iteration ``k`` and ``agent`` locate
     the largest entry, of absolute value ``magnitude``.  ``seed`` is the
-    seed of the run that diverged, or None outside :func:`run`.
+    seed of the run that diverged, or None where no one run is known: a
+    chunk of several lanes, or a bare :func:`step`.
     """
 
     def __init__(self, variable: str, k: int, agent: int, magnitude: float, seed: int | None = None):
@@ -212,28 +220,51 @@ def sample_indices(seeds, agent: int, k: int, D: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EngineState:
-    """Iteration k of the runs of ``seeds``, lane s holding seed s's arrays."""
+    """Iteration k of the runs of ``seeds`` in G horizon groups.
+
+    Lane g·S + s holds seed s's arrays under group g's schedule, where S is
+    ``len(seeds)``; the functions that take a state take the G schedules as
+    ``rates``, one :class:`Rates` being the one-group case.
+    """
 
     k: int
-    x: np.ndarray  # (S, n, d)
-    y: np.ndarray  # (S, n, d)
-    g_prev: np.ndarray  # (S, n, d)
+    x: np.ndarray  # (G·S, n, d)
+    y: np.ndarray  # (G·S, n, d)
+    g_prev: np.ndarray  # (G·S, n, d)
     seeds: tuple[int, ...]
 
 
-def noise(seeds, rates: Rates, k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keyed Laplace blocks (zeta, eta), each (S, n, d), for iteration k.
+def _groups(rates: Rates | tuple[Rates, ...]) -> tuple[Rates, ...]:
+    """The schedule of each horizon group: ``(rates,)`` for one schedule."""
+    return (rates,) if isinstance(rates, Rates) else tuple(rates)
 
-    Noise is drawn for every agent whenever its scale is nonzero, whether or
-    not anyone listens, so streams stay aligned across topologies; a row whose
-    scale is zero stays exactly zero.
+
+def noise(seeds, rates: Rates | tuple[Rates, ...], k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keyed Laplace blocks (zeta, eta), each (G·S, n, d), for iteration k.
+
+    Each agent's block of a role is drawn once per seed: at the scale of the
+    one group that needs it, or else at unit scale, each group's lanes taking
+    it times their own scale.  NumPy draws a Laplace variate as
+    ``0.0 ± scale·log(u)``, so ``s·laplace(0, 1) + 0.0`` is ``laplace(0, s)``
+    bit for bit: the product is the same, and adding 0.0 gives a product
+    that underflows to -0.0 the sign of ``0.0 ± ...``.  Noise is drawn for
+    every agent whenever a scale is nonzero, whether or not anyone listens,
+    so streams stay aligned across topologies; a lane whose scale is zero
+    stays exactly zero.
     """
-    zeta, eta = np.zeros((2, len(seeds), n, d))
-    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), rates.sigma_cols(k), (zeta, eta)):
-        for i, scale in enumerate(scales):
-            if scale > 0.0:
-                block[:, i] = laplace_vector(seeds, i, k, role, d, scale)
-    return zeta, eta
+    groups = _groups(rates)
+    zeta, eta = np.zeros((2, len(groups), len(seeds), n, d))
+    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), zip(*(r.sigma_cols(k) for r in groups)), (zeta, eta)):
+        for i in range(n):
+            live = [(g, s[i]) for g, s in enumerate(scales) if s[i] > 0.0]
+            if len(live) == 1:
+                block[live[0][0], :, i] = laplace_vector(seeds, i, k, role, d, live[0][1])
+            elif live:
+                unit = laplace_vector(seeds, i, k, role, d, 1.0)
+                for g, scale in live:
+                    np.multiply(unit, scale, out=block[g, :, i])
+                block[:, :, i] += 0.0
+    return zeta.reshape(-1, n, d), eta.reshape(-1, n, d)
 
 
 def draw_x0(seeds, n: int, d: int) -> np.ndarray:
@@ -268,6 +299,25 @@ def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarr
     return out
 
 
+def _lane_gradients(obj: Objective, seeds, rates: Rates | tuple[Rates, ...], k: int, x: np.ndarray) -> np.ndarray:
+    """Sampled gradients at the lanes x (G·S, n, d) for iteration k.
+
+    Each agent's indices are drawn once per seed, with the largest m of the
+    groups, and each group's lanes take their m-prefix: a prefix of one
+    keyed permutation is the smaller draw.  One :func:`sampled_gradients`
+    call per group.
+    """
+    groups = _groups(rates)
+    idxs = draw_indices(seeds, obj.datasets, k, max(r.m_int for r in groups))
+    if len(groups) == 1:
+        return sampled_gradients(obj, obj.datasets, x, idxs)
+    S = len(seeds)
+    return np.concatenate([
+        sampled_gradients(obj, obj.datasets, x[g * S:(g + 1) * S], [idx[:, :r.m_int] for idx in idxs])
+        for g, r in enumerate(groups)
+    ])
+
+
 def _guard(name: str, arr: np.ndarray, k: int) -> None:
     worst = float(np.abs(arr).max())
     if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
@@ -276,19 +326,37 @@ def _guard(name: str, arr: np.ndarray, k: int) -> None:
         raise DivergenceError(name, k, int(agent), worst)
 
 
+def _step_sizes(rates: Rates | tuple[Rates, ...], gp: GraphPair, lanes: int) -> tuple:
+    """(a, b, c, keep_x, keep_y) for :func:`update`.
+
+    One schedule gives floats and the pair's cached (n, 1) self-weights;
+    several give lane columns of each group's values, with the same
+    1 - a·row_sum per entry.
+    """
+    groups = _groups(rates)
+    if len(groups) == 1:
+        r = groups[0]
+        return r.alpha, r.beta, r.gamma, *gp.mixing_coefficients(r.alpha, r.beta)
+    a, b, c = (
+        np.repeat([getattr(r, name) for r in groups], lanes // len(groups))[:, None, None]
+        for name in ("alpha", "beta", "gamma")
+    )
+    return a, b, c, 1.0 - a * gp.row_sums_R[:, None], 1.0 - b * gp.col_sums_C[:, None]
+
+
 def update(
     x: np.ndarray, y: np.ndarray, g: np.ndarray, xb: np.ndarray, yb: np.ndarray,
-    grad_at, rates: Rates, gp: GraphPair, k: int,
+    grad_at, rates: Rates | tuple[Rates, ...], gp: GraphPair, k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gradient-tracking update from iteration k to k+1, given the broadcasts.
 
     (xb, yb) is the perturbed pair the agents receive and ``grad_at(x_next)``
     returns the sampled gradients at the new states.  Agents sit on axis -2,
-    so a leading batch axis on every array broadcasts.  Returns
-    (x_next, y_next, g_next).
+    so a leading batch axis on every array broadcasts.  With one schedule
+    per horizon group (see :class:`EngineState`), each group's lanes take
+    its own step sizes.  Returns (x_next, y_next, g_next).
     """
-    a, b, c = rates.alpha, rates.beta, rates.gamma
-    keep_x, keep_y = gp.mixing_coefficients(a, b)
+    a, b, c, keep_x, keep_y = _step_sizes(rates, gp, len(x))
     x_next = keep_x * x + a * (gp.R @ xb) - c * y
     _guard("state", x_next, k + 1)
     g_next = grad_at(x_next)
@@ -297,7 +365,7 @@ def update(
     return x_next, y_next, g_next
 
 
-def perturb(state: EngineState, rates: Rates, k: int) -> tuple[np.ndarray, np.ndarray]:
+def perturb(state: EngineState, rates: Rates | tuple[Rates, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed broadcast pair (xb, yb) for iteration k."""
     zeta, eta = noise(state.seeds, rates, k, *state.x.shape[1:])
     return state.x + zeta, state.y + eta
@@ -305,34 +373,34 @@ def perturb(state: EngineState, rates: Rates, k: int) -> tuple[np.ndarray, np.nd
 
 def initialize(
     gp: GraphPair,
-    rates: Rates,
+    rates: Rates | tuple[Rates, ...],
     obj: Objective,
     seeds,
     x0: np.ndarray | None = None,
 ) -> EngineState:
-    """Draw each seed's x_0, or start every lane at x0 (n, d); sample the first gradient batches; set y_0 = g_0."""
+    """Draw each seed's x_0 once for all groups, or start every lane at x0 (n, d); sample the first batches; set y_0 = g_0."""
     n, d = gp.n, obj.dim
     if len(obj.datasets) != n:
         raise ConfigError(f"the objective has {len(obj.datasets)} agents, the graph pair {n}")
+    G = len(_groups(rates))
     if x0 is None:
-        x0 = draw_x0(seeds, n, d)
+        x0 = np.tile(draw_x0(seeds, n, d), (G, 1, 1))
     else:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n, d):
             raise ConfigError(f"x0 must have shape {(n, d)}, got {x0.shape}")
-        x0 = np.repeat(x0[None], len(seeds), axis=0)
-    g0 = sampled_gradients(obj, obj.datasets, x0, draw_indices(seeds, obj.datasets, 0, rates.m_int))
+        x0 = np.repeat(x0[None], G * len(seeds), axis=0)
+    g0 = _lane_gradients(obj, seeds, rates, 0, x0)
     return EngineState(k=0, x=x0, y=g0.copy(), g_prev=g0, seeds=tuple(seeds))
 
 
-def step(state: EngineState, gp: GraphPair, rates: Rates, obj: Objective) -> EngineState:
+def step(state: EngineState, gp: GraphPair, rates: Rates | tuple[Rates, ...], obj: Objective) -> EngineState:
     """Advance one iteration: perturb, then :func:`update`."""
     k = state.k
     xb, yb = perturb(state, rates, k)
 
     def grad_at(x_next: np.ndarray) -> np.ndarray:
-        idxs = draw_indices(state.seeds, obj.datasets, k + 1, rates.m_int)
-        return sampled_gradients(obj, obj.datasets, x_next, idxs)
+        return _lane_gradients(obj, state.seeds, rates, k + 1, x_next)
 
     x, y, g = update(state.x, state.y, state.g_prev, xb, yb, grad_at, rates, gp, k)
     return EngineState(k=k + 1, x=x, y=y, g_prev=g, seeds=state.seeds)
@@ -448,35 +516,48 @@ def _checked_rates(gp: GraphPair, scheme: SchemeParams, obj: Objective, K: int, 
 
 def _run_chunk(
     gp: GraphPair,
-    rates: Rates,
+    groups: tuple[Rates, ...],
     obj: Objective,
-    K: int,
     seeds: list[int],
     x0: np.ndarray | None,
     sc: SpectralConstants,
-) -> list[Trajectory]:
-    """The trajectories of ``seeds``, advanced together on (S, n, d) arrays.
+) -> list[list[Trajectory]]:
+    """Each group's trajectories of ``seeds``, all advanced together on (G·S, n, d) arrays.
 
-    A divergence is raised without a seed, since a chunk cannot tell which
-    of its diverging lanes the serial loop would have named.
+    ``groups`` holds one schedule per distinct horizon, longest first.  A
+    group's lanes retire once its K+1 steps are done, so the live lanes are
+    always a leading slice.  A divergence is raised without a seed, since a
+    chunk cannot tell which of its diverging lanes the serial loop would have
+    named.
     """
     S, n = len(seeds), gp.n
     f_star = obj.F_star if obj.F_star is not None else 0.0
-    state = initialize(gp, rates, obj, seeds, x0)
-    v = np.empty((S, K + 2, 3))
-    grad_norm_sq = np.empty((S, K + 1, n))
+    state = initialize(gp, groups, obj, seeds, x0)
+    v = np.empty((len(state.x), groups[0].K + 2, 3))
+    grad_norm_sq = np.empty((len(state.x), groups[0].K + 1, n))
     v[:, 0, 0], v[:, 0, 1], _, v[:, 0, 2] = _metrics(state.x, state.y, sc, obj, f_star)
-    for k in range(K + 1):
-        state = step(state, gp, rates, obj)
-        cx, cy, grad_norm_sq[:, k], gap = _metrics(state.x, state.y, sc, obj, f_star)
-        v[:, k + 1, 0], v[:, k + 1, 1], v[:, k + 1, 2] = cx, cy, gap
-    ks = np.arange(1, K + 2)
-    samples_cum = rates.m_int * np.arange(2, K + 3, dtype=np.int64)  # the first batch plus k+1 more
+    final_x = np.empty(state.x.shape)
+    live = len(groups)
+    for k in range(groups[0].K + 1):
+        while groups[live - 1].K < k:
+            live -= 1
+            final_x[live * S:(live + 1) * S] = state.x[live * S:]
+            state = replace(state, x=state.x[:live * S], y=state.y[:live * S], g_prev=state.g_prev[:live * S])
+        state = step(state, gp, groups[:live], obj)
+        L = live * S
+        cx, cy, grad_norm_sq[:L, k], gap = _metrics(state.x, state.y, sc, obj, f_star)
+        v[:L, k + 1, 0], v[:L, k + 1, 1], v[:L, k + 1, 2] = cx, cy, gap
+    final_x[:live * S] = state.x
     return [
-        Trajectory(
-            K=K, ks=ks, v=v[j], grad_norm_sq=grad_norm_sq[j], samples_cum=samples_cum, final_x=state.x[j], seed=s,
-        )
-        for j, s in enumerate(seeds)
+        [
+            Trajectory(
+                K=r.K, ks=np.arange(1, r.K + 2), v=v[lane, :r.K + 2], grad_norm_sq=grad_norm_sq[lane, :r.K + 1],
+                samples_cum=r.m_int * np.arange(2, r.K + 3, dtype=np.int64),  # the first batch plus K+1 more
+                final_x=final_x[lane], seed=s,
+            )
+            for lane, s in zip(range(g * S, (g + 1) * S), seeds)
+        ]
+        for g, r in enumerate(groups)
     ]
 
 
@@ -499,7 +580,7 @@ def run(
     if sc is None:
         sc = spectral_constants(gp)
     try:
-        return _run_chunk(gp, rates, obj, K, [seed], x0, sc)[0]
+        return _run_chunk(gp, (rates,), obj, [seed], x0, sc)[0][0]
     except DivergenceError as err:
         err.seed = seed
         raise
@@ -552,15 +633,15 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _large(obj: Objective, K: int, n_seeds: int) -> bool:
-    """Whether an ensemble's estimated serial time reaches ``_POOL_MIN_S``.
+def _large(obj: Objective, horizons, n_seeds: int) -> bool:
+    """Whether the estimated serial time of ensembles at ``horizons`` reaches ``_POOL_MIN_S``.
 
-    That is seeds x (K + 2) steps of n x ``_AGENT_STEP_S`` plus ``_SAMPLE_S``
-    per dataset sample.  A large ensemble is pooled where cores allow, and
-    its seeds are batched.
+    That is seeds x (K + 2) steps per horizon, of n x ``_AGENT_STEP_S`` plus
+    ``_SAMPLE_S`` per dataset sample.  A large ensemble or sweep is pooled
+    where cores allow, and its seeds are batched.
     """
     seed_step_s = obj.n_agents * _AGENT_STEP_S + _SAMPLE_S * sum(ds.size for ds in obj.datasets)
-    return n_seeds * (K + 2) * seed_step_s >= _POOL_MIN_S
+    return n_seeds * sum(K + 2 for K in horizons) * seed_step_s >= _POOL_MIN_S
 
 
 def _workers(n_tasks: int) -> int:
@@ -621,6 +702,84 @@ def _run_forked(fn, args: list) -> list:
     return results
 
 
+def _merge(K: int, seeds: list[int], trajectories: list[Trajectory]) -> EnsembleResult:
+    """The runs of ``seeds`` at horizon K, in seed order, as one result."""
+    R = len(trajectories)
+    grad = np.stack([t.grad_norm_sq for t in trajectories])  # (R, K+1, n)
+    vs = np.stack([t.v for t in trajectories])  # (R, K+2, 3)
+    ddof = 1 if R > 1 else 0
+    return EnsembleResult(
+        K=K,
+        n_runs=R,
+        seeds=tuple(seeds),
+        mean_grad_norm_sq=grad.mean(axis=0),
+        var_grad_norm_sq=grad.var(axis=0, ddof=ddof),
+        mean_v=vs.mean(axis=0),
+        se_v=vs.std(axis=0, ddof=ddof) / math.sqrt(R),
+        samples_cum=trajectories[0].samples_cum,
+    )
+
+
+def _sweep(
+    gp: GraphPair,
+    scheme: SchemeParams,
+    obj: Objective,
+    rates: list[Rates],
+    seeds: list[int],
+    x0: np.ndarray | None,
+    sc: SpectralConstants,
+    noise_off: bool,
+) -> list[EnsembleResult | Exception]:
+    """The ensemble of ``seeds`` under each schedule of ``rates``, or the error of its lowest failing seed.
+
+    Every distinct horizon's lanes advance together in each chunk.  The
+    seeds run on forked workers, one contiguous block each (see
+    :func:`_workers`), or serially.  A block stops at its first failing
+    chunk: the rest of the block runs again one horizon at a time, and a
+    failing one-horizon chunk is rerun seed by seed through :func:`run` to
+    find the error the serial loop raises.
+    """
+    distinct = tuple(sorted({r.K: r for r in rates}.values(), key=lambda r: -r.K))
+    size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * sum(r.m_int for r in distinct)))
+
+    def run_block(block: list[int], groups: tuple[Rates, ...]) -> list[list[Trajectory] | Exception]:
+        """Per group, the runs of a block in seed order, or the error of its lowest failing seed."""
+        done = [[] for _ in groups]
+        for start in range(0, len(block), size):
+            chunk = block[start:start + size]
+            try:
+                for runs, new in zip(done, _run_chunk(gp, groups, obj, chunk, x0, sc)):
+                    runs += new
+            except Exception as chunk_err:
+                if len(groups) > 1:
+                    rest = [run_block(block[start:], (r,))[0] for r in groups]
+                    return [runs + more if isinstance(more, list) else more for runs, more in zip(done, rest)]
+                for s in chunk:
+                    try:
+                        run(gp, scheme, obj, groups[0].K, s, x0=x0, sc=sc, noise_off=noise_off)
+                    except Exception as err:
+                        return [err]
+                return [chunk_err]
+        return done
+
+    w = _workers(len(seeds))
+    if w > 1:
+        blocks = [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)]
+        results = _run_forked(lambda block: run_block(block, distinct), blocks)
+    else:
+        results = [run_block(seeds, distinct)]
+    by_K = {}
+    for g, r in enumerate(distinct):
+        runs = []
+        for result in results:
+            if isinstance(result[g], Exception):
+                runs = result[g]
+                break
+            runs += result[g]
+        by_K[r.K] = runs if isinstance(runs, Exception) else _merge(r.K, seeds, runs)
+    return [by_K[r.K] for r in rates]
+
+
 def run_ensemble(
     gp: GraphPair,
     scheme: SchemeParams,
@@ -636,13 +795,13 @@ def run_ensemble(
     Two paths run the same loop.  A small ensemble (see :func:`_large`)
     runs seed after seed through :func:`run`: batching gains little there,
     and the benchmark self-test counts the calls of that path on its short
-    shapes.  A large ensemble runs on forked worker processes, one per
-    available core up to one per seed, each running one contiguous block of
-    seeds; it runs serially on one core, where ``fork`` is unavailable,
-    while other threads are alive, or inside a daemonic process.  Either way
-    a block advances its seeds together, in chunks whose per-sample
-    gradients fit in ``_CHUNK_BYTES``, with one gradient pass per agent and
-    one metrics pass per step for the chunk.
+    shapes.  A large ensemble is a sweep of one horizon: it runs on forked
+    worker processes, one per available core up to one per seed, each
+    running one contiguous block of seeds; it runs serially on one core,
+    where ``fork`` is unavailable, while other threads are alive, or inside
+    a daemonic process.  Either way a block advances its seeds together, in
+    chunks whose per-sample gradients fit in ``_CHUNK_BYTES``, with one
+    gradient pass per agent and one metrics pass per step for the chunk.
 
     Every run is pure with keyed RNG streams, and every array operation acts
     on each seed as on one seed's arrays, so results are identical batched or
@@ -655,52 +814,51 @@ def run_ensemble(
         raise ConfigError("need at least one seed")
     if sc is None:
         sc = spectral_constants(gp)
+    if not _large(obj, [K], len(seeds)):
+        return _merge(K, seeds, [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds])
+    (result,) = _sweep(gp, scheme, obj, [_checked_rates(gp, scheme, obj, K, noise_off)], seeds, x0, sc, noise_off)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    if not _large(obj, K, len(seeds)):
-        trajectories = [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds]
-    else:
-        rates = _checked_rates(gp, scheme, obj, K, noise_off)
-        size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * rates.m_int))
 
-        def run_block(block: list[int]) -> list[Trajectory] | Exception:
-            """The runs of a block in seed order, or the error of its lowest failing seed."""
-            done = []
-            for start in range(0, len(block), size):
-                chunk = block[start:start + size]
-                try:
-                    done += _run_chunk(gp, rates, obj, K, chunk, x0, sc)
-                except Exception as chunk_err:
-                    for s in chunk:
-                        try:
-                            run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off)
-                        except Exception as err:
-                            return err
-                    return chunk_err
-            return done
+def run_horizons(
+    gp: GraphPair,
+    scheme: SchemeParams,
+    obj: Objective,
+    horizons,
+    seeds,
+    x0: np.ndarray | None = None,
+    sc: SpectralConstants | None = None,
+    noise_off: bool = False,
+):
+    """The :func:`run_ensemble` result of each horizon in turn, as a generator.
 
-        w = _workers(len(seeds))
-        if w > 1:
-            blocks = [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)]
-            results = _run_forked(run_block, blocks)
-        else:
-            results = [run_block(seeds)]
-        trajectories = []
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-            trajectories += result
-
-    R = len(trajectories)
-    grad = np.stack([t.grad_norm_sq for t in trajectories])  # (R, K+1, n)
-    vs = np.stack([t.v for t in trajectories])  # (R, K+2, 3)
-    ddof = 1 if R > 1 else 0
-    return EnsembleResult(
-        K=K,
-        n_runs=R,
-        seeds=tuple(seeds),
-        mean_grad_norm_sq=grad.mean(axis=0),
-        var_grad_norm_sq=grad.var(axis=0, ddof=ddof),
-        mean_v=vs.mean(axis=0),
-        se_v=vs.std(axis=0, ddof=ddof) / math.sqrt(R),
-        samples_cum=trajectories[0].samples_cum,
-    )
+    Results, errors and their order are those of :func:`run_ensemble` called
+    per horizon, for horizons in any order, repeated or not: a horizon's
+    error is raised after the earlier horizons' results.  A small sweep (see
+    :func:`_large`, over all the horizons) does call it per horizon, as the
+    benchmark self-test counts.  A large one is computed before its first
+    result, in one :func:`_sweep`.
+    """
+    horizons = [int(K) for K in horizons]
+    seeds = [int(s) for s in seeds]
+    if not seeds or not _large(obj, horizons, len(seeds)):
+        for K in horizons:
+            yield run_ensemble(gp, scheme, obj, K, seeds, x0=x0, sc=sc, noise_off=noise_off)
+        return
+    if sc is None:
+        sc = spectral_constants(gp)
+    rates, refused = [], None
+    for K in horizons:
+        try:
+            rates.append(_checked_rates(gp, scheme, obj, K, noise_off))
+        except ValueError as err:
+            refused = err
+            break
+    for result in _sweep(gp, scheme, obj, rates, seeds, x0, sc, noise_off) if rates else []:
+        if isinstance(result, Exception):
+            raise result
+        yield result
+    if refused is not None:
+        raise refused

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import configio
-from .engine import EnsembleResult, run_ensemble
+from .engine import EnsembleResult, run_horizons
 from .graphs import GraphPair, spectral_constants
 from .objectives import Objective
 from .privacy import BudgetReport, epsilon, sensitivity_trace, swap_bound
@@ -234,7 +234,12 @@ def _validate(scheme: SchemeParams, sc, obj: Objective, force: bool) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run every horizon, write traces and budget files, return the summary."""
+    """Run every horizon, write traces and budget files, return the summary.
+
+    The horizons run through ``engine.run_horizons``: a large sweep as lanes
+    of one chunk, with the results and errors of one ensemble per horizon.
+    A horizon's trace is written before a later horizon's error is raised.
+    """
     gp: GraphPair = configio.graph_from_dict(configio.load_json(config.graph_file))
     scheme = configio.scheme_from_dict(configio.load_json(config.scheme_file))
     obj = configio.objective_from_dict(
@@ -263,8 +268,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     summary["adjacency_C"] = C
 
     final_by_K: dict[int, np.ndarray] = {}
-    for K in config.horizons:
-        ens = run_ensemble(gp, scheme, obj, K, summary["seeds"], sc=sc, noise_off=config.baseline)
+    for ens in run_horizons(gp, scheme, obj, config.horizons, summary["seeds"], sc=sc, noise_off=config.baseline):
+        K = ens.K
         budget: BudgetReport | None = None
         if not config.baseline:
             budget = epsilon(sensitivity_trace(gp, scheme, C, K), scheme, K)

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .engine import draw_indices, draw_x0, noise, sampled_gradients, update
+from .engine import DivergenceError, draw_indices, draw_x0, noise, sampled_gradients, update
 from .graphs import GraphPair
 from .objectives import Dataset, Objective
 from .schemes import SchemeParams, ValidationReport, check_agent_count, check_budget_finiteness, rates_at
@@ -166,12 +167,21 @@ class BudgetReport:
     K: int
     eps: np.ndarray  # (n,)
     increments: np.ndarray  # (n, K+1)
-    finiteness: ValidationReport
-    tail_order: str
+    scheme: SchemeParams
+    gp: GraphPair
 
     @property
     def eps_max(self) -> float:
         return float(self.eps.max())
+
+    @cached_property
+    def finiteness(self) -> ValidationReport:
+        """The scheme's finite-budget conditions on the pair, checked on first access, once per report."""
+        return check_budget_finiteness(self.scheme, self.gp)
+
+    @property
+    def tail_order(self) -> str:
+        return str(self.finiteness.derived.get("tail_order", ""))
 
 
 #: Budget terms computed per block in :func:`epsilon`: a block holds as many
@@ -184,6 +194,9 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
 
     A zero noise scale facing a nonzero sensitivity yields an infinite budget
     entry (reported, not raised).  Budgets are exactly linear in 1/scale.
+    The finiteness verdict, which does not depend on K, is left to the
+    report's first ``finiteness`` access, so a scan over horizons that never
+    reads it never computes it.
     """
     if trace.K != K:
         raise ValueError(f"trace horizon {trace.K} does not match K={K}")
@@ -203,14 +216,7 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
             scale[no_noise] = math.inf
             scale[sens == 0.0] = 0.0
             inc[:, block] += scale  # 0.0 + zeta term + eta term
-    finiteness = check_budget_finiteness(scheme, trace.gp)
-    return BudgetReport(
-        K=K,
-        eps=inc.sum(axis=1),
-        increments=inc,
-        finiteness=finiteness,
-        tail_order=str(finiteness.derived.get("tail_order", "")),
-    )
+    return BudgetReport(K=K, eps=inc.sum(axis=1), increments=inc, scheme=scheme, gp=trace.gp)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,9 @@ def coupled_pair_run(
     Both runs consume the first run's perturbed values and the same sample
     index draws, realizing the conditioning under which the sensitivity
     recursion is stated.  ``forbid`` optionally remaps a sample index per
-    agent so the differing sample is never drawn (diagnostic use).
+    agent so the differing sample is never drawn (diagnostic use).  A
+    ``DivergenceError`` from either side names ``seed``, as ``engine.run``'s
+    does.
     """
     n, d = gp.n, obj.dim
     differing = {}
@@ -279,18 +287,22 @@ def coupled_pair_run(
     dx_meas = np.zeros((n, K + 1))
     dy_meas = np.zeros((n, K + 1))
     dy_meas[:, 0] = np.abs(y_a - y_b)[0].sum(axis=1)
-    for k in range(K):
-        zeta, eta = noise(seeds, rates, k, n, d)
-        xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
-        idxs = draw(k + 1)
-        x_a, y_a, g_a = update(
-            x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), rates, gp, k
-        )
-        x_b, y_b, g_b = update(
-            x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), rates, gp, k
-        )
-        dx_meas[:, k + 1] = np.abs(x_a - x_b)[0].sum(axis=1)
-        dy_meas[:, k + 1] = np.abs(y_a - y_b)[0].sum(axis=1)
+    try:
+        for k in range(K):
+            zeta, eta = noise(seeds, rates, k, n, d)
+            xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
+            idxs = draw(k + 1)
+            x_a, y_a, g_a = update(
+                x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), rates, gp, k
+            )
+            x_b, y_b, g_b = update(
+                x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), rates, gp, k
+            )
+            dx_meas[:, k + 1] = np.abs(x_a - x_b)[0].sum(axis=1)
+            dy_meas[:, k + 1] = np.abs(y_a - y_b)[0].sum(axis=1)
+    except DivergenceError as err:
+        err.seed = seed
+        raise
 
     return CoupledRunResult(K=K, dx_measured=dx_meas, dy_measured=dy_meas, differing=differing)
 

@@ -5,8 +5,27 @@ import re
 import numpy as np
 import pytest
 
-from dpgt import configio
+from dpgt import cli, configio, engine, experiments, graphs, objectives, privacy, recursion, schemes
 from dpgt.cli import main
+
+# The classes the README lists under exit 2: every ValueError, and the eigensolver's failure.
+EXIT_2 = (
+    ValueError,
+    engine.ConfigError,
+    graphs.GraphValidationError,
+    graphs.DimensionMismatchError,
+    graphs.NegativeEntryError,
+    graphs.NonFiniteEntryError,
+    graphs.ConnectivityError,
+    graphs.DegenerateGraphError,
+    objectives.DatasetError,
+    objectives.RankDeficientError,
+    privacy.AdjacencyError,
+    recursion.CapViolation,
+    recursion.EnsembleTooSmall,
+    experiments.FitError,
+    graphs.EigensolverError,
+)
 
 
 @pytest.fixture()
@@ -179,6 +198,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"dpgt analyze-graph: [Errno 2] No such file or directory: '{missing}'\n"
+
+    @pytest.mark.parametrize("cls", EXIT_2, ids=lambda cls: cls.__name__)
+    def test_each_rejection_class_exits_2(self, workdir, capsys, monkeypatch, cls):
+        def reject(gp):
+            raise cls("rejected")
+
+        monkeypatch.setattr(cli, "spectral_constants", reject)
+        assert main(["analyze-graph", str(workdir / "graph.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dpgt analyze-graph: rejected\n"
+
+    def test_every_error_class_has_its_exit_status(self):
+        # A new error class must be given a status here and in the README.
+        defined = {
+            obj
+            for mod in (cli, configio, engine, experiments, graphs, objectives, privacy, recursion, schemes)
+            for obj in vars(mod).values()
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("dpgt.")
+        }
+        assert defined == set(EXIT_2[1:]) | {experiments.ValidatorFailure, engine.DivergenceError}
+        assert [status for cls in EXIT_2 for c, status in cli._EXIT_STATUS if issubclass(cls, c)] == [2] * len(EXIT_2)
+
+    def test_eigensolver_failure_exits_2(self, workdir, capsys, monkeypatch):
+        # The solver itself fails on the pair: one stderr line, not a traceback and 1.
+        def fail(M, *args, **kwargs):
+            raise graphs.EigensolverError("QR iteration did not converge: no convergence")
+
+        monkeypatch.setattr(graphs, "spectrum", fail)
+        assert main(["analyze-graph", str(workdir / "graph.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dpgt analyze-graph: QR iteration did not converge: no convergence\n"
 
     def test_missing_key_is_named_and_exits_2(self, workdir, capsys):
         scheme = configio.load_json(workdir / "scheme.json")

@@ -22,6 +22,7 @@ from dpgt.engine import (
     perturb,
     run,
     run_ensemble,
+    run_horizons,
     sample_indices,
     step,
     update,
@@ -318,6 +319,22 @@ class TestStep:
                     assert got[s].tobytes() == want.tobytes()
 
 
+    def test_update_with_one_schedule_per_group_equals_separate_calls(self):
+        # Lanes g*S .. g*S + S - 1 step with group g's a, b and c.
+        gp = five_node_pair()
+        groups = tuple(rates_at(s1(), K) for K in (30, 12, 0))
+        assert len({(r.alpha, r.beta, r.gamma) for r in groups}) == 3
+        rng = np.random.default_rng(12)
+        S, n, d = 4, gp.n, 3
+        x, y, g, xb, yb = (rng.normal(size=(3 * S, n, d)) for _ in range(5))
+        swept = update(x, y, g, xb, yb, np.sin, groups, gp, 3)
+        for j, r in enumerate(groups):
+            lanes = slice(j * S, (j + 1) * S)
+            single = update(x[lanes], y[lanes], g[lanes], xb[lanes], yb[lanes], np.sin, r, gp, 3)
+            for got, want in zip(swept, single):
+                assert got[lanes].tobytes() == want.tobytes()
+
+
 class TestRun:
     def test_minimal_horizon_single_record(self):
         gp = five_node_pair()
@@ -456,7 +473,7 @@ def pool_on(monkeypatch, cores: int = 2) -> None:
 def fail_batches(monkeypatch) -> None:
     """Make every chunk fail, so that its seeds rerun through ``engine.run``."""
 
-    def failing(gp, rates, obj, K, seeds, x0, sc):
+    def failing(gp, groups, obj, seeds, x0, sc):
         raise RuntimeError("batched chunk failed")
 
     monkeypatch.setattr(engine, "_run_chunk", failing)
@@ -467,9 +484,9 @@ def spy_batches(monkeypatch) -> list:
     calls = []
     real = engine._run_chunk
 
-    def spy(gp, rates, obj, K, seeds, x0, sc):
+    def spy(gp, groups, obj, seeds, x0, sc):
         calls.append(list(seeds))
-        return real(gp, rates, obj, K, seeds, x0, sc)
+        return real(gp, groups, obj, seeds, x0, sc)
 
     monkeypatch.setattr(engine, "_run_chunk", spy)
     return calls
@@ -768,9 +785,9 @@ class TestBatchedEnsemble:
         sizes = tmp_path / "sizes"
         real = engine._run_chunk
 
-        def spy(gp, rates, obj, K, seeds, x0, sc):
+        def spy(gp, groups, obj, seeds, x0, sc):
             log_seed(sizes, len(seeds))
-            return real(gp, rates, obj, K, seeds, x0, sc)
+            return real(gp, groups, obj, seeds, x0, sc)
 
         monkeypatch.setattr(engine, "_run_chunk", spy)
         got = run_ensemble(gp, s1(), obj, K, seeds)
@@ -989,3 +1006,180 @@ class TestLaneDraws:
         assert batches == [[3, 4, 5], [3]]
         assert str(batched.value) == str(serial.value)
         assert "outside key range" in str(serial.value)
+
+
+def sweep_results(gp, scheme, obj, horizons, seeds, **kw) -> list:
+    """``run_ensemble``'s result per horizon, every seed through ``run``: the per-horizon reference of a sweep."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_POOL_MIN_S", math.inf)
+        return [run_ensemble(gp, scheme, obj, K, seeds, **kw) for K in horizons]
+
+
+def assert_same_bits(got, want) -> None:
+    """Every field of two ensemble results, byte for byte."""
+    for f in dataclasses.fields(want):
+        a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+def per_group_noise(seeds, groups, k, n, d) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's blocks drawn at its own scales, one keyed draw per positive scale: the reference of ``noise``."""
+    zeta, eta = np.zeros((2, len(groups), len(seeds), n, d))
+    for g, r in enumerate(groups):
+        for role, scales, block in zip((engine.ROLE_ZETA, engine.ROLE_ETA), r.sigma_cols(k), (zeta, eta)):
+            for i, scale in enumerate(scales):
+                if scale > 0.0:
+                    block[g, :, i] = laplace_vector(seeds, i, k, role, d, scale)
+    return zeta.reshape(-1, n, d), eta.reshape(-1, n, d)
+
+
+class TestHorizonSweep:
+    """run_horizons' lanes against run_ensemble per horizon, and the shared draws behind them, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 4, 100])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("variant", ["S1", "S2", "noise_off"])
+    def test_sweep_equals_per_horizon_ensembles(self, monkeypatch, tmp_path, variant, workers, chunk):
+        # Unsorted and repeated horizons; S1's m is 1, 2 and 19 over them, so
+        # groups take different prefixes of one index draw.
+        gp, obj = five_node_pair(), quad_objective()
+        scheme = s1(a4=0.02) if variant == "S1" else s2()
+        kw = {"noise_off": True} if variant == "noise_off" else {}
+        horizons, seeds = [12, 0, 30, 12, 5], [4, 17, 2, 9, 30, 11]
+        distinct = "30-12-5-0"
+        m_sum = sum(rates_at(scheme, K).m_int for K in (30, 12, 5, 0))
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk * 8 * gp.n * obj.dim * m_sum)
+        pool_on(monkeypatch, cores=workers)
+        forks = spy_forks(monkeypatch)
+        chunks = tmp_path / "chunks"
+        real = engine._run_chunk
+
+        def spy(gp, groups, obj, seeds, x0, sc):
+            log_seed(chunks, f"{'-'.join(str(r.K) for r in groups)}:{len(seeds)}")
+            return real(gp, groups, obj, seeds, x0, sc)
+
+        monkeypatch.setattr(engine, "_run_chunk", spy)
+        got = list(run_horizons(gp, scheme, obj, horizons, seeds, **kw))
+        assert len(forks) == (1 if workers == 2 else 0)
+        blocks = [seeds] if workers == 1 else [seeds[:3], seeds[3:]]
+        sizes = [min(chunk, len(b) - i) for b in blocks for i in range(0, len(b), chunk)]
+        assert sorted(chunks.read_text().split()) == sorted(f"{distinct}:{size}" for size in sizes)
+        monkeypatch.setattr(engine, "_run_chunk", real)
+        assert [ens.K for ens in got] == horizons
+        for ens, want in zip(got, sweep_results(gp, scheme, obj, horizons, seeds, **kw), strict=True):
+            assert_same_bits(ens, want)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "trig", "logistic"])
+    def test_chunk_lanes_equal_one_lane_runs(self, kind):
+        # Every field of every (horizon, seed) trajectory, final states included.
+        gp, obj = five_node_pair(), family_objective(kind)
+        scheme = s1(a4=0.02)
+        sc = spectral_constants(gp)
+        groups = tuple(rates_at(scheme, K) for K in (17, 9, 4, 0))
+        seeds = [6, 1, 2**64 + 5]
+        got = engine._run_chunk(gp, groups, obj, seeds, None, sc)
+        for r, trajs in zip(groups, got, strict=True):
+            for s, traj in zip(seeds, trajs, strict=True):
+                want = run(gp, scheme, obj, r.K, s, sc=sc)
+                for f in dataclasses.fields(want):
+                    a, b = np.asarray(getattr(traj, f.name)), np.asarray(getattr(want, f.name))
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (r.K, s, f.name)
+
+    def test_sweep_from_a_given_x0_equals_per_horizon_ensembles(self, monkeypatch):
+        gp, obj = five_node_pair(), family_objective("trig")
+        x0 = np.random.default_rng(5).uniform(-1.0, 1.0, (gp.n, obj.dim))
+        batch_on(monkeypatch)
+        got = list(run_horizons(gp, s2(), obj, [7, 3], [5, 6, 7], x0=x0))
+        for ens, want in zip(got, sweep_results(gp, s2(), obj, [7, 3], [5, 6, 7], x0=x0), strict=True):
+            assert_same_bits(ens, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=lane_seeds, agent=lane_agents, k=lane_ks, d=hst.sampled_from([1, 10]),
+        scale=hst.one_of(lane_scales, hst.floats(1e-300, 1e300)),
+    )
+    def test_laplace_blocks_are_linear_in_scale(self, seeds, agent, k, d, scale):
+        want = laplace_vector(seeds, agent, k, engine.ROLE_ZETA, d, scale)
+        got = laplace_vector(seeds, agent, k, engine.ROLE_ZETA, d, 1.0) * scale + 0.0
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds=lane_seeds, k=lane_ks, d=hst.sampled_from([1, 10]),
+        scales=hst.lists(
+            hst.lists(hst.tuples(lane_scales, lane_scales), min_size=3, max_size=3), min_size=1, max_size=3,
+        ),
+    )
+    def test_noise_groups_equal_draws_at_each_groups_scales(self, seeds, k, d, scales):
+        # Three agents; per group, each agent's (zeta, eta) scale, zero and subnormal ones included.
+        groups = tuple(fixed_scales(*zip(*group)) for group in scales)
+        got = noise(seeds, groups, k, 3, d)
+        for g, w in zip(got, per_group_noise(seeds, groups, k, 3, d), strict=True):
+            assert g.shape == (len(groups) * len(seeds), 3, d) and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seeds=lane_seeds, agent=lane_agents, k=lane_ks, D=hst.sampled_from([1, 2, 200, 2**14 + 1]),
+        data=hst.data(),
+    )
+    def test_sample_prefixes_are_nested_in_m(self, seeds, agent, k, D, data):
+        m_small = data.draw(hst.integers(1, D))
+        m_large = data.draw(hst.integers(m_small, D))
+        want = sample_indices(seeds, agent, k, D, m_small)
+        assert sample_indices(seeds, agent, k, D, m_large)[:, :m_small].tobytes() == want.tobytes()
+
+    def test_self_test_sized_sweep_calls_run_ensemble_per_horizon(self, monkeypatch):
+        # The benchmark self-test's closed forms count run_ensemble, run and
+        # step per horizon: its 3 seeds x K 5 and 10 at n=5, d=10, D=200 stay
+        # a small sweep.  The full 20 seeds x K 25, 50, 100 sweep as lanes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        horizons = []
+        real = engine.run_ensemble
+
+        def spy(gp, scheme, obj, K, seeds, **kw):
+            horizons.append(K)
+            return real(gp, scheme, obj, K, seeds, **kw)
+
+        monkeypatch.setattr(engine, "run_ensemble", spy)
+        gp, obj = five_node_pair(), quad_objective(d=10, D=200)
+        assert [ens.K for ens in run_horizons(gp, s2(), obj, (5, 10), range(3))] == [5, 10]
+        assert horizons == [5, 10]
+        batches = spy_batches(monkeypatch)
+        assert [ens.K for ens in run_horizons(gp, s2(), obj, (25, 50, 100), range(20))] == [25, 50, 100]
+        assert horizons == [5, 10]
+        assert batches == [list(range(20))]
+
+    def test_refused_horizon_raises_after_the_earlier_results(self, monkeypatch):
+        gp, obj = five_node_pair(), quad_objective()
+        scheme = s2(p_m=1.2)  # m exceeds D = 40 from K = 21 on
+        with pytest.raises(ConfigError) as alone:
+            run_ensemble(gp, scheme, obj, 30, range(4))
+        batches = batch_on(monkeypatch)
+        sweep = run_horizons(gp, scheme, obj, [8, 3, 30, 5], range(4))
+        assert [next(sweep).K, next(sweep).K] == [8, 3]
+        with pytest.raises(ConfigError) as swept:
+            next(sweep)
+        assert str(swept.value) == str(alone.value)
+        assert batches == [[0, 1, 2, 3]]  # one chunk for K 8 and 3; K 5, after the refusal, never runs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverging_sweep_raises_the_per_horizon_error(self, monkeypatch, workers):
+        # gamma = 100 diverges within 30 steps, seed 14 first, at iteration 9;
+        # K = 0 does not.  The error is the first failing horizon's lowest
+        # seed's, as the per-horizon loop raises it.
+        gp, obj = five_node_pair(), quad_objective()
+        bad = s2(gamma=100.0)
+        seeds = [12, 13, 14, 15]
+        with pytest.raises(DivergenceError) as per_horizon:
+            for _ in sweep_results(gp, bad, obj, [0, 30], seeds):
+                pass
+        pool_on(monkeypatch, cores=workers)
+        sweep = run_horizons(gp, bad, obj, [0, 30, 60], seeds)
+        assert_same_bits(next(sweep), run_ensemble(gp, bad, obj, 0, seeds))
+        with pytest.raises(DivergenceError) as swept:
+            next(sweep)
+        assert per_horizon.value.seed == 12
+        assert [getattr(swept.value, a) for a in DIVERGENCE_FIELDS] == [
+            getattr(per_horizon.value, a) for a in DIVERGENCE_FIELDS
+        ]
+        assert str(swept.value) == str(per_horizon.value)

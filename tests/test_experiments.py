@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from dpgt import configio, engine
+from dpgt import configio, engine, experiments
 from dpgt.experiments import (
     ExperimentConfig,
     FitError,
@@ -186,7 +187,7 @@ class TestRunExperiment:
         forks = []
         fork = engine._run_forked
         monkeypatch.setattr(engine, "_run_forked", lambda fn, blocks: forks.append(len(blocks)) or fork(fn, blocks))
-        monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)  # pool every horizon of this small config
+        monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)  # pool the sweep of this small config
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
         def bundle() -> dict:
@@ -197,7 +198,7 @@ class TestRunExperiment:
         second = bundle()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = bundle()
-        assert forks == [2] * 6  # three horizons, pooled twice, then serial
+        assert forks == [2] * 2  # one fork round per sweep of three horizons, pooled twice, then serial
         assert sorted(first) == ["summary.json", "trace_K0.csv", "trace_K30.csv", "trace_K60.csv"]
         assert first == second == serial
 
@@ -333,6 +334,46 @@ class TestRunExperiment:
             assert math.isfinite(summary["horizons"][K]["final_gap"])
             assert math.isfinite(summary["horizons"][K]["eps_max"])
         assert bundle() == first
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_diverging_sweep_fails_as_the_per_horizon_loop(self, experiment_dir, monkeypatch, cores):
+        # At gamma = 8 the runs diverge near iteration 35.  K = 10 completes;
+        # at K = 33 only seed 25 diverges (at iteration 34), the fourth of the
+        # list and first of the second pooled block; at K = 36 every seed does.
+        scheme = configio.load_json(experiment_dir / "scheme.json")
+        scheme.update(alpha=0.3, beta=0.3, gamma=8.0)
+        configio.dump_json(scheme, experiment_dir / "scheme.json")
+        doc = configio.load_json(experiment_dir / "config.json")
+        doc.update(horizons=[10, 33, 36], seeds=[18, 19, 22, 25, 20, 17], force=True)
+        configio.dump_json(doc, experiment_dir / "config.json")
+        config = ExperimentConfig.from_file(experiment_dir / "config.json")
+        out = experiment_dir / "out"
+
+        def failure() -> tuple:
+            shutil.rmtree(out, ignore_errors=True)
+            with pytest.raises(engine.DivergenceError) as caught:
+                run_experiment(config)
+            err = caught.value
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return (err.variable, err.k, err.agent, err.magnitude, err.seed, str(err)), files
+
+        def per_horizon(gp, scheme, obj, horizons, seeds, **kw):
+            for K in horizons:
+                yield engine.run_ensemble(gp, scheme, obj, K, seeds, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "run_horizons", per_horizon)
+            want = failure()
+        forks = []
+        fork = engine._run_forked
+        monkeypatch.setattr(engine, "_run_forked", lambda fn, blocks: forks.append(len(blocks)) or fork(fn, blocks))
+        monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        got = failure()
+        assert forks == ([2] if cores == 2 else [])
+        assert got == want
+        assert want[0][1] == 34 and want[0][4] == 25
+        assert sorted(want[1]) == ["trace_K10.csv"]
 
 
 class TestConfigFile:

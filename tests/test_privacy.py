@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgt import privacy
+from dpgt.engine import DivergenceError
 from dpgt.graphs import build_graph_pair
 from dpgt.objectives import (
     generate_logistic_datasets,
@@ -195,6 +196,17 @@ class TestEpsilon:
         tr10 = sensitivity_trace(gp, base, 10.0, K)
         rep10 = epsilon(tr10, base, K)
         assert np.allclose(rep10.eps, 10.0 * rep1.eps, rtol=1e-12)
+
+    def test_finiteness_is_checked_once_on_first_access(self):
+        gp = two_agent_pair()
+        p = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.1, p_zeta=(0.93,) * 2, p_eta=(0.93,) * 2)
+        with mock.patch.object(privacy, "check_budget_finiteness", wraps=check_budget_finiteness) as spy:
+            reports = [epsilon(sensitivity_trace(gp, p, 1.0, K), p, K) for K in range(1, 40)]
+            assert spy.call_count == 0
+            first = reports[0].finiteness
+            assert reports[0].finiteness is first and reports[0].tail_order == first.derived["tail_order"]
+            assert spy.call_count == 1
+        assert first.to_dict() == check_budget_finiteness(p, gp).to_dict()
 
     def test_scaling_all_scales_divides_budget_exactly(self):
         # under the geometric schedule the scales are p^K for every k, so
@@ -478,6 +490,16 @@ class TestCoupledRuns:
         assert res.dx_measured[0].max() == 0.0
         assert res.dx_measured[2].max() == 0.0
         assert res.dy_measured[0].max() == 0.0
+
+    def test_divergence_names_the_seed(self):
+        # As engine.run's error does: the seed, next to the agent, iteration and variable.
+        gp, p, obj, ds, alt = self.setup_pair()
+        unstable = dataclasses.replace(p, gamma=900.0)
+        with pytest.raises(DivergenceError) as caught:
+            coupled_pair_run(gp, unstable, obj, list(ds), alt, K=60, seed=7)
+        err = caught.value
+        assert err.seed == 7 and err.variable in ("state", "tracking") and 0 < err.k <= 60
+        assert str(err).endswith(f"at iteration {err.k} (seed 7); step sizes are unstable for this problem")
 
 
 class TestMicroDP:
