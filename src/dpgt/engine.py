@@ -224,7 +224,7 @@ class EngineState:
 
     Lane g·S + s holds seed s's arrays under group g's schedule, where S is
     ``len(seeds)``; the functions that take a state take the G schedules as
-    ``rates``, one :class:`Rates` being the one-group case.
+    the tuple ``rates``.
     """
 
     k: int
@@ -234,36 +234,26 @@ class EngineState:
     seeds: tuple[int, ...]
 
 
-def _groups(rates: Rates | tuple[Rates, ...]) -> tuple[Rates, ...]:
-    """The schedule of each horizon group: ``(rates,)`` for one schedule."""
-    return (rates,) if isinstance(rates, Rates) else tuple(rates)
-
-
-def noise(seeds, rates: Rates | tuple[Rates, ...], k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def noise(seeds, rates: tuple[Rates, ...], k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Keyed Laplace blocks (zeta, eta), each (G·S, n, d), for iteration k.
 
-    Each agent's block of a role is drawn once per seed: at the scale of the
-    one group that needs it, or else at unit scale, each group's lanes taking
-    it times their own scale.  NumPy draws a Laplace variate as
-    ``0.0 ± scale·log(u)``, so ``s·laplace(0, 1) + 0.0`` is ``laplace(0, s)``
-    bit for bit: the product is the same, and adding 0.0 gives a product
-    that underflows to -0.0 the sign of ``0.0 ± ...``.  Noise is drawn for
-    every agent whenever a scale is nonzero, whether or not anyone listens,
-    so streams stay aligned across topologies; a lane whose scale is zero
-    stays exactly zero.
+    Each agent's block of a role is drawn once per seed, at unit scale, and
+    each group's lanes take it times their own scale.  NumPy draws a Laplace
+    variate as ``0.0 ± scale·log(u)``, so ``s·laplace(0, 1) + 0.0`` is
+    ``laplace(0, s)`` bit for bit: the product is the same, and adding 0.0
+    gives a product that underflows to -0.0 the sign of ``0.0 ± ...``.
+    Noise is drawn for every agent whenever a scale is nonzero, whether or
+    not anyone listens, so streams stay aligned across topologies; a lane
+    whose scale is zero stays exactly zero.
     """
-    groups = _groups(rates)
-    zeta, eta = np.zeros((2, len(groups), len(seeds), n, d))
-    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), zip(*(r.sigma_cols(k) for r in groups)), (zeta, eta)):
+    zeta, eta = np.zeros((2, len(rates), len(seeds), n, d))
+    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), zip(*(r.sigma_cols(k) for r in rates)), (zeta, eta)):
         for i in range(n):
             live = [(g, s[i]) for g, s in enumerate(scales) if s[i] > 0.0]
-            if len(live) == 1:
-                block[live[0][0], :, i] = laplace_vector(seeds, i, k, role, d, live[0][1])
-            elif live:
+            if live:
                 unit = laplace_vector(seeds, i, k, role, d, 1.0)
                 for g, scale in live:
-                    np.multiply(unit, scale, out=block[g, :, i])
-                block[:, :, i] += 0.0
+                    block[g, :, i] = unit * scale + 0.0
     return zeta.reshape(-1, n, d), eta.reshape(-1, n, d)
 
 
@@ -299,7 +289,7 @@ def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarr
     return out
 
 
-def _lane_gradients(obj: Objective, seeds, rates: Rates | tuple[Rates, ...], k: int, x: np.ndarray) -> np.ndarray:
+def _lane_gradients(obj: Objective, seeds, rates: tuple[Rates, ...], k: int, x: np.ndarray) -> np.ndarray:
     """Sampled gradients at the lanes x (G·S, n, d) for iteration k.
 
     Each agent's indices are drawn once per seed, with the largest m of the
@@ -307,14 +297,13 @@ def _lane_gradients(obj: Objective, seeds, rates: Rates | tuple[Rates, ...], k: 
     keyed permutation is the smaller draw.  One :func:`sampled_gradients`
     call per group.
     """
-    groups = _groups(rates)
-    idxs = draw_indices(seeds, obj.datasets, k, max(r.m_int for r in groups))
-    if len(groups) == 1:
+    idxs = draw_indices(seeds, obj.datasets, k, max(r.m_int for r in rates))
+    if len(rates) == 1:
         return sampled_gradients(obj, obj.datasets, x, idxs)
     S = len(seeds)
     return np.concatenate([
         sampled_gradients(obj, obj.datasets, x[g * S:(g + 1) * S], [idx[:, :r.m_int] for idx in idxs])
-        for g, r in enumerate(groups)
+        for g, r in enumerate(rates)
     ])
 
 
@@ -326,19 +315,18 @@ def _guard(name: str, arr: np.ndarray, k: int) -> None:
         raise DivergenceError(name, k, int(agent), worst)
 
 
-def _step_sizes(rates: Rates | tuple[Rates, ...], gp: GraphPair, lanes: int) -> tuple:
+def _step_sizes(rates: tuple[Rates, ...], gp: GraphPair, lanes: int) -> tuple:
     """(a, b, c, keep_x, keep_y) for :func:`update`.
 
     One schedule gives floats and the pair's cached (n, 1) self-weights;
     several give lane columns of each group's values, with the same
     1 - a·row_sum per entry.
     """
-    groups = _groups(rates)
-    if len(groups) == 1:
-        r = groups[0]
+    if len(rates) == 1:
+        r = rates[0]
         return r.alpha, r.beta, r.gamma, *gp.mixing_coefficients(r.alpha, r.beta)
     a, b, c = (
-        np.repeat([getattr(r, name) for r in groups], lanes // len(groups))[:, None, None]
+        np.repeat([getattr(r, name) for r in rates], lanes // len(rates))[:, None, None]
         for name in ("alpha", "beta", "gamma")
     )
     return a, b, c, 1.0 - a * gp.row_sums_R[:, None], 1.0 - b * gp.col_sums_C[:, None]
@@ -346,7 +334,7 @@ def _step_sizes(rates: Rates | tuple[Rates, ...], gp: GraphPair, lanes: int) -> 
 
 def update(
     x: np.ndarray, y: np.ndarray, g: np.ndarray, xb: np.ndarray, yb: np.ndarray,
-    grad_at, rates: Rates | tuple[Rates, ...], gp: GraphPair, k: int,
+    grad_at, rates: tuple[Rates, ...], gp: GraphPair, k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gradient-tracking update from iteration k to k+1, given the broadcasts.
 
@@ -365,7 +353,7 @@ def update(
     return x_next, y_next, g_next
 
 
-def perturb(state: EngineState, rates: Rates | tuple[Rates, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+def perturb(state: EngineState, rates: tuple[Rates, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed broadcast pair (xb, yb) for iteration k."""
     zeta, eta = noise(state.seeds, rates, k, *state.x.shape[1:])
     return state.x + zeta, state.y + eta
@@ -373,7 +361,7 @@ def perturb(state: EngineState, rates: Rates | tuple[Rates, ...], k: int) -> tup
 
 def initialize(
     gp: GraphPair,
-    rates: Rates | tuple[Rates, ...],
+    rates: tuple[Rates, ...],
     obj: Objective,
     seeds,
     x0: np.ndarray | None = None,
@@ -382,7 +370,7 @@ def initialize(
     n, d = gp.n, obj.dim
     if len(obj.datasets) != n:
         raise ConfigError(f"the objective has {len(obj.datasets)} agents, the graph pair {n}")
-    G = len(_groups(rates))
+    G = len(rates)
     if x0 is None:
         x0 = np.tile(draw_x0(seeds, n, d), (G, 1, 1))
     else:
@@ -394,7 +382,7 @@ def initialize(
     return EngineState(k=0, x=x0, y=g0.copy(), g_prev=g0, seeds=tuple(seeds))
 
 
-def step(state: EngineState, gp: GraphPair, rates: Rates | tuple[Rates, ...], obj: Objective) -> EngineState:
+def step(state: EngineState, gp: GraphPair, rates: tuple[Rates, ...], obj: Objective) -> EngineState:
     """Advance one iteration: perturb, then :func:`update`."""
     k = state.k
     xb, yb = perturb(state, rates, k)
@@ -422,7 +410,7 @@ def compact_step(
     k = state.k
     a, b, c = rates.alpha, rates.beta, rates.gamma
     n = gp.n
-    zeta, eta = noise(state.seeds, rates, k, *state.x.shape[1:])
+    zeta, eta = noise(state.seeds, (rates,), k, *state.x.shape[1:])
     eye = np.eye(n)
     x_next = (eye - a * gp.L1) @ state.x + a * (gp.R @ zeta) - c * state.y
     _guard("state", x_next, k + 1)
@@ -633,15 +621,15 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _large(obj: Objective, horizons, n_seeds: int) -> bool:
-    """Whether the estimated serial time of ensembles at ``horizons`` reaches ``_POOL_MIN_S``.
+def _large(obj: Objective, K: int, n_seeds: int) -> bool:
+    """Whether an ensemble's estimated serial time reaches ``_POOL_MIN_S``.
 
-    That is seeds x (K + 2) steps per horizon, of n x ``_AGENT_STEP_S`` plus
-    ``_SAMPLE_S`` per dataset sample.  A large ensemble or sweep is pooled
-    where cores allow, and its seeds are batched.
+    That is seeds x (K + 2) steps of n x ``_AGENT_STEP_S`` plus ``_SAMPLE_S``
+    per dataset sample.  A large ensemble is pooled where cores allow, and
+    its seeds are batched; a sweep with a large horizon runs as one.
     """
     seed_step_s = obj.n_agents * _AGENT_STEP_S + _SAMPLE_S * sum(ds.size for ds in obj.datasets)
-    return n_seeds * sum(K + 2 for K in horizons) * seed_step_s >= _POOL_MIN_S
+    return n_seeds * (K + 2) * seed_step_s >= _POOL_MIN_S
 
 
 def _workers(n_tasks: int) -> int:
@@ -814,7 +802,7 @@ def run_ensemble(
         raise ConfigError("need at least one seed")
     if sc is None:
         sc = spectral_constants(gp)
-    if not _large(obj, [K], len(seeds)):
+    if not _large(obj, K, len(seeds)):
         return _merge(K, seeds, [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds])
     (result,) = _sweep(gp, scheme, obj, [_checked_rates(gp, scheme, obj, K, noise_off)], seeds, x0, sc, noise_off)
     if isinstance(result, Exception):
@@ -836,14 +824,14 @@ def run_horizons(
 
     Results, errors and their order are those of :func:`run_ensemble` called
     per horizon, for horizons in any order, repeated or not: a horizon's
-    error is raised after the earlier horizons' results.  A small sweep (see
-    :func:`_large`, over all the horizons) does call it per horizon, as the
-    benchmark self-test counts.  A large one is computed before its first
+    error is raised after the earlier horizons' results.  A sweep with no
+    large horizon (see :func:`_large`) does call it per horizon, as the
+    benchmark self-test counts.  Any other is computed before its first
     result, in one :func:`_sweep`.
     """
     horizons = [int(K) for K in horizons]
     seeds = [int(s) for s in seeds]
-    if not seeds or not _large(obj, horizons, len(seeds)):
+    if not seeds or not any(_large(obj, K, len(seeds)) for K in horizons):
         for K in horizons:
             yield run_ensemble(gp, scheme, obj, K, seeds, x0=x0, sc=sc, noise_off=noise_off)
         return

@@ -289,14 +289,14 @@ def coupled_pair_run(
     dy_meas[:, 0] = np.abs(y_a - y_b)[0].sum(axis=1)
     try:
         for k in range(K):
-            zeta, eta = noise(seeds, rates, k, n, d)
+            zeta, eta = noise(seeds, (rates,), k, n, d)
             xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
             idxs = draw(k + 1)
             x_a, y_a, g_a = update(
-                x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), rates, gp, k
+                x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), (rates,), gp, k
             )
             x_b, y_b, g_b = update(
-                x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), rates, gp, k
+                x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), (rates,), gp, k
             )
             dx_meas[:, k + 1] = np.abs(x_a - x_b)[0].sum(axis=1)
             dy_meas[:, k + 1] = np.abs(y_a - y_b)[0].sum(axis=1)
@@ -408,7 +408,7 @@ def micro_dp_check(
             obs[:, 2 * k + 1] = yb[:, agent, 0]
             if k == K:
                 break
-            x, y, g = update(x, y, g, xb, yb, grad_at, rates, gp, k)
+            x, y, g = update(x, y, g, xb, yb, grad_at, (rates,), gp, k)
         return obs
 
     obs_a = simulate(0, datasets)

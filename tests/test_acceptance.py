@@ -174,10 +174,10 @@ def test_02_update_equivalence():
             p_m=1.01, p_zeta=(0.9,) * gp.n, p_eta=(0.9,) * gp.n,
         )
         rates = rates_at(scheme, 100)
-        st_a = initialize(gp, rates, obj, seeds=(1000 + trial,))
+        st_a = initialize(gp, (rates,), obj, seeds=(1000 + trial,))
         st_b = st_a
         for _ in range(100):
-            st_a = step(st_a, gp, rates, obj)
+            st_a = step(st_a, gp, (rates,), obj)
             st_b = compact_step(st_b, gp, rates, obj)
             worst = max(worst, np.abs(st_a.x - st_b.x).max(), np.abs(st_a.y - st_b.y).max())
     elapsed = time.time() - t0
@@ -189,10 +189,10 @@ def test_03_tracking_identity(quad_instance):
     gp, sc, obj = quad_instance
     scheme = admissible_s2(sc, obj.L1_smooth, obj.mu, frac=0.9, p_m=1.0, p_noise=0.93)
     rates = dataclasses.replace(rates_at(scheme, 500), noise_off=True)
-    st = initialize(gp, rates, obj, seeds=(33,))
+    st = initialize(gp, (rates,), obj, seeds=(33,))
     worst = 0.0
     for _ in range(500):
-        st = step(st, gp, rates, obj)
+        st = step(st, gp, (rates,), obj)
         num = np.abs(st.y.sum(axis=-2) - st.g_prev.sum(axis=-2)).max()
         den = max(1.0, np.abs(st.g_prev.sum(axis=-2)).max())
         worst = max(worst, num / den)

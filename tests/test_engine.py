@@ -196,8 +196,8 @@ class TestPerturb:
         gp = five_node_pair()
         obj = quad_objective()
         rates = dataclasses.replace(rates_at(s2(), 10), noise_off=True)
-        st = initialize(gp, rates, obj, seeds=[1])
-        xb, yb = perturb(st, rates, 0)
+        st = initialize(gp, (rates,), obj, seeds=[1])
+        xb, yb = perturb(st, (rates,), 0)
         assert np.array_equal(xb, st.x)
         assert np.array_equal(yb, st.y)
 
@@ -206,13 +206,13 @@ class TestPerturb:
         gp = five_node_pair()
         obj = quad_objective()
         rates = rates_at(s2(p_zeta=(0.9,) * 5, p_eta=(0.9,) * 5), 3)
-        st = initialize(gp, rates, obj, seeds=[1])
+        st = initialize(gp, (rates,), obj, seeds=[1])
         _, n, d = st.x.shape
         smax2 = max(rates.sigma_cols(0)[0]) ** 2
         powers = []
         for rep in range(4000):
             st2 = dataclasses.replace(st, seeds=(rep,))
-            xb, _ = perturb(st2, rates, 0)
+            xb, _ = perturb(st2, (rates,), 0)
             powers.append(((xb - st.x) ** 2).sum())
         mean_power = np.mean(powers)
         assert mean_power <= 2 * n * d * smax2 * 1.05
@@ -223,9 +223,9 @@ class TestPerturb:
         gp = five_node_pair()
         obj = quad_objective()
         rates = rates_at(s2(), 5)
-        st = initialize(gp, rates, obj, seeds=[4])
-        xb1, yb1 = perturb(st, rates, 2)
-        xb2, yb2 = perturb(st, rates, 2)
+        st = initialize(gp, (rates,), obj, seeds=[4])
+        xb1, yb1 = perturb(st, (rates,), 2)
+        xb2, yb2 = perturb(st, (rates,), 2)
         assert np.array_equal(xb1, xb2) and np.array_equal(yb1, yb2)
 
 
@@ -238,8 +238,8 @@ class TestStep:
         scheme = S2Params(alpha=0.1, beta=0.1, gamma=0.05, p_m=1.0, p_zeta=(0.9,), p_eta=(0.9,))
         rates = dataclasses.replace(rates_at(scheme, 0), noise_off=True)
         assert rates.m_int == 2  # full batch
-        st = initialize(gp, rates, obj, seeds=[2], x0=np.array([[3.0, -1.0]]))
-        nxt = step(st, gp, rates, obj)
+        st = initialize(gp, (rates,), obj, seeds=[2], x0=np.array([[3.0, -1.0]]))
+        nxt = step(st, gp, (rates,), obj)
         expect = st.x[0, 0] - 0.05 * st.y[0, 0]
         assert np.allclose(nxt.x[0, 0], expect, atol=1e-15)
         full_batch = obj.grad_batch(st.x[0, 0], obj.datasets[0].samples).mean(axis=0)
@@ -252,10 +252,10 @@ class TestStep:
             obj = quad_objective(seed=trial)
             scheme = s2(p_zeta=(0.95,) * 5, p_eta=(0.95,) * 5)
             rates = rates_at(scheme, 30)
-            st_a = initialize(gp, rates, obj, seeds=[100 + trial])
+            st_a = initialize(gp, (rates,), obj, seeds=[100 + trial])
             st_b = st_a
             for _ in range(30):
-                st_a = step(st_a, gp, rates, obj)
+                st_a = step(st_a, gp, (rates,), obj)
                 st_b = compact_step(st_b, gp, rates, obj)
                 assert np.abs(st_a.x - st_b.x).max() <= 1e-12
                 assert np.abs(st_a.y - st_b.y).max() <= 1e-12
@@ -294,7 +294,7 @@ class TestStep:
         gp = five_node_pair()
         obj = quad_objective()
         rates = rates_at(s2(gamma=900.0), 200)
-        st = initialize(gp, rates, obj, seeds=[0])
+        st = initialize(gp, (rates,), obj, seeds=[0])
         with pytest.raises(DivergenceError):
             for _ in range(201):
                 st = compact_step(st, gp, rates, obj)
@@ -312,9 +312,9 @@ class TestStep:
 
         for S in (1, 7, 300):
             x, y, g, xb, yb = (rng.normal(size=(S, n, d)) for _ in range(5))
-            batched = update(x, y, g, xb, yb, grad_at, rates, gp, 3)
+            batched = update(x, y, g, xb, yb, grad_at, (rates,), gp, 3)
             for s in range(S):
-                single = update(x[s], y[s], g[s], xb[s], yb[s], grad_at, rates, gp, 3)
+                single = update(x[s], y[s], g[s], xb[s], yb[s], grad_at, (rates,), gp, 3)
                 for got, want in zip(batched, single):
                     assert got[s].tobytes() == want.tobytes()
 
@@ -330,7 +330,7 @@ class TestStep:
         swept = update(x, y, g, xb, yb, np.sin, groups, gp, 3)
         for j, r in enumerate(groups):
             lanes = slice(j * S, (j + 1) * S)
-            single = update(x[lanes], y[lanes], g[lanes], xb[lanes], yb[lanes], np.sin, r, gp, 3)
+            single = update(x[lanes], y[lanes], g[lanes], xb[lanes], yb[lanes], np.sin, (r,), gp, 3)
             for got, want in zip(swept, single):
                 assert got[lanes].tobytes() == want.tobytes()
 
@@ -349,9 +349,9 @@ class TestRun:
         obj = quad_objective(D=60)
         scheme = s2()
         rates = dataclasses.replace(rates_at(scheme, 500), noise_off=True)
-        st = initialize(gp, rates, obj, seeds=[8])
+        st = initialize(gp, (rates,), obj, seeds=[8])
         for _ in range(500):
-            st = step(st, gp, rates, obj)
+            st = step(st, gp, (rates,), obj)
             lhs = st.y.sum(axis=-2)
             rhs = st.g_prev.sum(axis=-2)
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
@@ -385,7 +385,7 @@ class TestRun:
         rates = rates_at(scheme, 10)
 
         def agentwise(st, order):
-            (xb,), (yb,) = perturb(st, rates, st.k)
+            (xb,), (yb,) = perturb(st, (rates,), st.k)
             (x,), (y,), (g,) = st.x, st.y, st.g_prev
             x_next = np.empty_like(x)
             g_next = np.empty_like(g)
@@ -403,7 +403,7 @@ class TestRun:
                 ) + g_next[i] - g[i]
             return x_next, y_next
 
-        st = initialize(gp, rates, obj, seeds=[3])
+        st = initialize(gp, (rates,), obj, seeds=[3])
         rng = np.random.default_rng(0)
         for _ in range(10):
             fwd = agentwise(st, range(gp.n))
@@ -412,7 +412,7 @@ class TestRun:
                 shuffled = agentwise(st, perm)
                 assert np.array_equal(fwd[0], shuffled[0])
                 assert np.array_equal(fwd[1], shuffled[1])
-            ref = step(st, gp, rates, obj)
+            ref = step(st, gp, (rates,), obj)
             scale = max(1.0, np.abs(ref.x).max(), np.abs(ref.y).max())
             assert np.abs(ref.x[0] - fwd[0]).max() <= 1e-12 * scale
             assert np.abs(ref.y[0] - fwd[1]).max() <= 1e-12 * scale
@@ -957,9 +957,9 @@ class TestLaneDraws:
     def test_noise_lanes_equal_one_lane_calls(self, seeds, k, d, scales, before):
         n = len(scales)
         rates = fixed_scales(*zip(*scales))
-        want = [np.concatenate(blocks) for blocks in zip(*(noise([s], rates, k, n, d) for s in seeds))]
+        want = [np.concatenate(blocks) for blocks in zip(*(noise([s], (rates,), k, n, d) for s in seeds))]
         leave_partial_state(before)
-        got = noise(seeds, rates, k, n, d)
+        got = noise(seeds, (rates,), k, n, d)
         for g, w in zip(got, want, strict=True):
             assert g.shape == (len(seeds), n, d) and g.tobytes() == w.tobytes()
         for i, (sz, se) in enumerate(scales):
@@ -982,8 +982,8 @@ class TestLaneDraws:
         gp, obj = five_node_pair(), quad_objective()
         rates = rates_at(s2(p_zeta=(0.9,) * 5, p_eta=(0.9,) * 5), 10)
         seeds = [3, 2**64 - 1, 11]
-        lanes = initialize(gp, rates, obj, seeds)
-        singles = [initialize(gp, rates, obj, [s]) for s in seeds]
+        lanes = initialize(gp, (rates,), obj, seeds)
+        singles = [initialize(gp, (rates,), obj, [s]) for s in seeds]
         for _ in range(6):
             lanes = compact_step(lanes, gp, rates, obj)
             singles = [compact_step(st, gp, rates, obj) for st in singles]
@@ -1131,7 +1131,9 @@ class TestHorizonSweep:
     def test_self_test_sized_sweep_calls_run_ensemble_per_horizon(self, monkeypatch):
         # The benchmark self-test's closed forms count run_ensemble, run and
         # step per horizon: its 3 seeds x K 5 and 10 at n=5, d=10, D=200 stay
-        # a small sweep.  The full 20 seeds x K 25, 50, 100 sweep as lanes.
+        # a small sweep.  So do 20 seeds x K 5 and 10: neither horizon is
+        # large alone, though their sum is.  The full 20 seeds x K 25, 50,
+        # 100 sweep as lanes.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         horizons = []
         real = engine.run_ensemble
@@ -1144,9 +1146,13 @@ class TestHorizonSweep:
         gp, obj = five_node_pair(), quad_objective(d=10, D=200)
         assert [ens.K for ens in run_horizons(gp, s2(), obj, (5, 10), range(3))] == [5, 10]
         assert horizons == [5, 10]
+        assert not any(engine._large(obj, K, 20) for K in (5, 10))
+        assert engine._large(obj, 5 + 10 + 2, 20)  # the summed steps, 20 x (7 + 12), are large
+        assert [ens.K for ens in run_horizons(gp, s2(), obj, (5, 10), range(20))] == [5, 10]
+        assert horizons == [5, 10] * 2
         batches = spy_batches(monkeypatch)
         assert [ens.K for ens in run_horizons(gp, s2(), obj, (25, 50, 100), range(20))] == [25, 50, 100]
-        assert horizons == [5, 10]
+        assert horizons == [5, 10] * 2
         assert batches == [list(range(20))]
 
     def test_refused_horizon_raises_after_the_earlier_results(self, monkeypatch):
