@@ -41,7 +41,7 @@ lane.  :func:`run_ensemble` has two paths through that loop.  A small
 ensemble runs seed after seed through :func:`run`; the benchmark self-test
 counts the calls of that path.  A large one runs in forked worker processes,
 one contiguous block of seeds each, and advances each block's seeds together
-in chunks, with one gradient pass per agent and group and one metrics pass
+in chunks, with one gradient pass per group and one metrics pass
 per step for the whole chunk.  :func:`run_horizons` runs a large sweep of
 horizons the same way, every horizon's lanes in one chunk.  The bits are the
 same every way.
@@ -173,7 +173,7 @@ def keyed_generator(seeds, agent: int, k: int, role: int):
     Every yielded generator is the same object, shared by every keyed draw in
     this thread and re-keyed in place, so each is valid only until the next
     one is taken, from this call or any other: callers draw from it at once
-    and never hold it.  Returning the draws instead (ROADMAP item 5) changes
+    and never hold it.  Returning the draws instead (ROADMAP item 3) changes
     the call structure that the benchmark self-test pins as a closed form for
     ``engine.keyed_generator.calls``, so that fix waits for a change that
     rewrites the closed form.
@@ -238,23 +238,23 @@ def noise(seeds, rates: tuple[Rates, ...], k: int, n: int, d: int) -> tuple[np.n
     """Keyed Laplace blocks (zeta, eta), each (G·S, n, d), for iteration k.
 
     Each agent's block of a role is drawn once per seed, at unit scale, and
-    each group's lanes take it times their own scale.  NumPy draws a Laplace
-    variate as ``0.0 ± scale·log(u)``, so ``s·laplace(0, 1) + 0.0`` is
-    ``laplace(0, s)`` bit for bit: the product is the same, and adding 0.0
-    gives a product that underflows to -0.0 the sign of ``0.0 ± ...``.
-    Noise is drawn for every agent whenever a scale is nonzero, whether or
-    not anyone listens, so streams stay aligned across topologies; a lane
-    whose scale is zero stays exactly zero.
+    every group's lanes take it times their own scale, in one broadcast
+    product.  NumPy draws a Laplace variate as ``0.0 ± scale·log(u)``, so
+    ``s·laplace(0, 1) + 0.0`` is ``laplace(0, s)`` bit for bit: the product
+    is the same, and adding 0.0 gives a product that underflows to -0.0 the
+    sign of ``0.0 ± ...``.  Noise is drawn for every agent whenever one of
+    its scales is nonzero, whether or not anyone listens, so streams stay
+    aligned across topologies; an agent whose scales are all zero draws
+    nothing, and a lane whose scale is zero stays exactly +0.0.
     """
-    zeta, eta = np.zeros((2, len(rates), len(seeds), n, d))
-    for role, scales, block in zip((ROLE_ZETA, ROLE_ETA), zip(*(r.sigma_cols(k) for r in rates)), (zeta, eta)):
-        for i in range(n):
-            live = [(g, s[i]) for g, s in enumerate(scales) if s[i] > 0.0]
-            if live:
-                unit = laplace_vector(seeds, i, k, role, d, 1.0)
-                for g, scale in live:
-                    block[g, :, i] = unit * scale + 0.0
-    return zeta.reshape(-1, n, d), eta.reshape(-1, n, d)
+    blocks = []
+    for role, scales in zip((ROLE_ZETA, ROLE_ETA), zip(*(r.sigma_cols(k) for r in rates))):
+        scales = np.array(scales)  # (G, n)
+        unit = np.zeros((len(seeds), n, d))
+        for i in np.flatnonzero((scales > 0.0).any(axis=0)).tolist():
+            unit[:, i] = laplace_vector(seeds, i, k, role, d, 1.0)
+        blocks.append((unit * scales[:, None, :, None] + 0.0).reshape(-1, n, d))
+    return tuple(blocks)
 
 
 def draw_x0(seeds, n: int, d: int) -> np.ndarray:
@@ -274,18 +274,23 @@ def draw_indices(seeds, datasets, k: int, m: int) -> list[np.ndarray]:
 def sampled_gradients(obj: Objective, datasets, x: np.ndarray, idxs) -> np.ndarray:
     """Entry (..., i, :): mean per-sample gradient at x[..., i, :] over datasets[i].samples[idxs[i]].
 
-    One ``grad_batch`` call per agent covers every lane.  A single lane goes
-    without its lane axis: the one-point evaluators give the same bits at a
-    fraction of the per-call cost.  Each mean is ``.mean(axis=0)``'s own
-    arithmetic, a sum reduction over the sample axis and then a division by
-    the count.
+    Lanes (S, n, d) gather every agent's samples into one (S, n, m, r) block,
+    stacked agent by agent so that dataset sizes may differ, for one
+    ``grad_batch`` call.  A single lane goes without its lane axis, one call
+    per agent: the one-point evaluators give the same bits at a fraction of
+    the per-call cost.  Each mean is ``.mean(axis=0)``'s own arithmetic, a
+    sum reduction over the sample axis and then a division by the count.
     """
     if x.ndim == 3 and len(x) == 1:
         return sampled_gradients(obj, datasets, x[0], [idx[0] for idx in idxs])[None]
-    out = np.empty(x.shape)
-    for i, (ds, idx) in enumerate(zip(datasets, idxs, strict=True)):
-        np.add.reduce(obj.grad_batch(x[..., i, :], ds.samples[idx]), axis=-2, out=out[..., i, :])
-    out /= idx.shape[-1]
+    if x.ndim == 3:
+        xis = np.stack([ds.samples[idx] for ds, idx in zip(datasets, idxs, strict=True)], axis=-3)
+        out = np.add.reduce(obj.grad_batch(x, xis), axis=-2)
+    else:
+        out = np.empty(x.shape)
+        for i, (ds, idx) in enumerate(zip(datasets, idxs, strict=True)):
+            np.add.reduce(obj.grad_batch(x[i], ds.samples[idx]), axis=-2, out=out[i])
+    out /= idxs[0].shape[-1]
     return out
 
 
@@ -453,10 +458,6 @@ class Trajectory:
     @property
     def gap(self) -> np.ndarray:
         return self.v[1:, 2]
-
-    @property
-    def final_grad_norm_sq(self) -> np.ndarray:
-        return self.grad_norm_sq[-1]
 
 
 def _squared_norms(w: np.ndarray) -> np.ndarray:
@@ -789,7 +790,7 @@ def run_ensemble(
     where ``fork`` is unavailable, while other threads are alive, or inside
     a daemonic process.  Either way a block advances its seeds together, in
     chunks whose per-sample gradients fit in ``_CHUNK_BYTES``, with one
-    gradient pass per agent and one metrics pass per step for the chunk.
+    gradient pass and one metrics pass per step for the chunk.
 
     Every run is pure with keyed RNG streams, and every array operation acts
     on each seed as on one seed's arrays, so results are identical batched or

@@ -259,7 +259,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "config": dataclasses.asdict(config),
         "seeds": config.seed_list(),
         "validator": _validate(scheme, sc, obj, config.force),
-        "budget_finiteness": check_budget_finiteness(scheme, gp).to_dict(),
+        # Built once: every horizon's tail order below reads this report.
+        "budget_finiteness": (finiteness := check_budget_finiteness(scheme, gp)).to_dict(),
         "horizons": {},
     }
 
@@ -286,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         if budget is not None:
             entry["eps_per_agent"] = budget.eps.tolist()
             entry["eps_max"] = budget.eps_max
-            entry["eps_tail_order"] = budget.tail_order
+            entry["eps_tail_order"] = str(finiteness.derived.get("tail_order", ""))
         try:
             fit = fit_rate(np.arange(1, K + 2), ens.mean_max_grad, model=scheme.fit_model)
             entry["within_horizon_fit"] = dataclasses.asdict(fit)

@@ -509,7 +509,7 @@ def merge_like_run_ensemble(trajs) -> dict:
     """Every field and property of run_ensemble's result, from separate runs merged in order."""
     grad = np.stack([t.grad_norm_sq for t in trajs])
     vs = np.stack([t.v for t in trajs])
-    finals = np.stack([t.final_grad_norm_sq for t in trajs])
+    finals = np.stack([t.grad_norm_sq[-1] for t in trajs])
     R = len(trajs)
     return {
         "K": trajs[0].K,
@@ -545,7 +545,7 @@ class TestEnsemble:
         obj = quad_objective()
         ens = run_ensemble(gp, s2(), obj, K=20, seeds=[9])
         traj = run(gp, s2(), obj, K=20, seed=9)
-        assert np.allclose(ens.mean_final_grad, traj.final_grad_norm_sq)
+        assert np.allclose(ens.mean_final_grad, traj.grad_norm_sq[-1])
         assert np.allclose(ens.mean_v, traj.v)
 
     def test_deterministic_runs_have_zero_variance(self):
@@ -1189,3 +1189,73 @@ class TestHorizonSweep:
             getattr(per_horizon.value, a) for a in DIVERGENCE_FIELDS
         ]
         assert str(swept.value) == str(per_horizon.value)
+
+
+def spy_grad_batch(monkeypatch, obj) -> list:
+    """Record the (x, samples) shapes of every grad_batch call of ``obj``'s evaluator."""
+    calls = []
+    real = obj.family.grad_batch
+
+    def spy(x, xis):
+        calls.append((x.shape, xis.shape))
+        return real(x, xis)
+
+    monkeypatch.setattr(obj.family, "grad_batch", spy)
+    return calls
+
+
+noise_scales = hst.one_of(hst.just(0.0), lane_scales)
+
+
+class TestGradBatchCalls:
+    """One grad_batch call per live horizon group and step in a chunk, and noise drawn once per live block."""
+
+    def test_chunk_calls_grad_batch_once_per_live_group_per_step(self, monkeypatch):
+        gp, obj = five_node_pair(), quad_objective()
+        groups = tuple(rates_at(s1(a4=0.1), K) for K in (9, 4, 0))  # m 9, 2 and 1
+        seeds = [3, 4, 5]
+        calls = spy_grad_batch(monkeypatch, obj)
+        engine._run_chunk(gp, groups, obj, seeds, None, spectral_constants(gp))
+        S, n, d = len(seeds), gp.n, obj.dim
+        want = [
+            ((S, n, d), (S, n, r.m_int, 1))
+            for k in range(-1, groups[0].K + 1)  # the first batch, then K+1 steps
+            for r in groups if r.K >= k
+        ]
+        assert [m for (_, (_, _, m, _)) in want[:3]] == [9, 2, 1]
+        assert calls == want
+
+    def test_one_lane_run_calls_grad_batch_per_agent(self, monkeypatch):
+        gp, obj = five_node_pair(), quad_objective()
+        scheme, K = s1(a4=0.1), 6
+        calls = spy_grad_batch(monkeypatch, obj)
+        run(gp, scheme, obj, K, seed=2)
+        m = rates_at(scheme, K).m_int
+        assert calls == [((obj.dim,), (m, 1))] * gp.n * (K + 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds=lane_seeds, k=lane_ks, n=hst.integers(1, 4), d=hst.sampled_from([1, 3]), data=hst.data())
+    def test_noise_equals_per_group_reference_drawing_each_live_block_once(self, seeds, k, n, d, data):
+        G = data.draw(hst.integers(1, 4))
+        groups = tuple(
+            fixed_scales(*(tuple(data.draw(hst.lists(noise_scales, min_size=n, max_size=n))) for _ in "ze"))
+            for _ in range(G)
+        )
+        draws = []
+        real = engine.laplace_vector
+
+        def spy(seeds, agent, k, role, d, scale):
+            draws.append((agent, role, scale))
+            return real(seeds, agent, k, role, d, scale)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "laplace_vector", spy)
+            got = noise(seeds, groups, k, n, d)
+        for g, w in zip(got, per_group_noise(seeds, groups, k, n, d), strict=True):
+            assert g.shape == (G * len(seeds), n, d) and g.tobytes() == w.tobytes()
+        live = [
+            (i, role, 1.0)
+            for role, col in ((engine.ROLE_ZETA, 0), (engine.ROLE_ETA, 1))
+            for i in range(n) if any(r.c[col][i] > 0.0 for r in groups)
+        ]
+        assert draws == live

@@ -9,13 +9,22 @@ outputs are compared with recorded values, and acceptance criterion 6 runs
 at zero bound slack.
 """
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgt.engine import _metrics, draw_indices, sampled_gradients
 from dpgt.graphs import build_graph_pair, spectral_constants
-from dpgt.objectives import generate_quadratic_datasets, make_quadratic
+from dpgt.objectives import (
+    generate_quadratic_datasets,
+    make_dataset,
+    make_logistic,
+    make_quadratic,
+    make_trig,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -169,3 +178,80 @@ class TestEngineHotPath:
             idxs = draw_indices([9], obj.datasets, 3, m)
             got = sampled_gradients(obj, obj.datasets, x[None], idxs)[0]
             assert same_bits(got, sampled_gradients_oracle(obj, x, [idx[0] for idx in idxs]))
+
+
+# ---------------------------------------------------------------------------
+# Lanes gathered into one grad_batch call, against the one-lane path
+# ---------------------------------------------------------------------------
+
+# Unequal dataset sizes per agent; the smallest bounds m.
+SMALL_SIZES = (9, 20, 12, 31, 16)
+LARGE_SIZES = (131, 160, 140, 200, 150)
+FAMILIES = [("quadratic", 1), ("quadratic", 4), ("trig", 1), ("logistic", 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def unequal_objective(kind, d, sizes):
+    rng = np.random.default_rng(11)
+    n = len(sizes)
+    if kind == "logistic":
+        return make_logistic(n, [
+            make_dataset(i, np.column_stack([rng.normal(0.0, 1.0, (D, d)), rng.choice([-1.0, 1.0], D)]))
+            for i, D in enumerate(sizes)
+        ])
+    datasets = [make_dataset(i, rng.normal(0.0, 2.0, (D, 1))) for i, D in enumerate(sizes)]
+    if kind == "trig":
+        return make_trig(n, datasets)
+    return make_quadratic(2.0 * np.eye(d) + 0.1, np.ones(d), n, datasets)
+
+
+def lane_states(seed, S, n, d, zero_rows):
+    """S lanes of states (S, n, d) at one of three magnitudes, with the chosen (lane, agent) rows at 0.
+
+    The largest stays where the logistic margins' exponentials are finite.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, float(rng.choice([1e-3, 1.0, 30.0])), (S, n, d))
+    for lane, agent in zero_rows:
+        x[lane % S, agent % n] = 0.0
+    return x
+
+
+def assert_lanes_equal_one_lane(obj, x, idxs):
+    got = sampled_gradients(obj, obj.datasets, x, idxs)
+    assert got.shape == x.shape
+    for s in range(len(x)):
+        assert same_bits(got[s], sampled_gradients(obj, obj.datasets, x[s], [idx[s] for idx in idxs]))
+
+
+class TestGatheredGradients:
+    """Several lanes make one grad_batch call for all agents; each lane gets the bits of per-agent calls."""
+
+    @pytest.mark.parametrize("kind, d", FAMILIES)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), S=st.integers(2, 5), k=st.integers(0, 2**20),
+        m=st.integers(1, min(SMALL_SIZES)), zero_rows=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+    )
+    def test_lanes_equal_per_agent_one_lane_calls(self, kind, d, seed, S, k, m, zero_rows):
+        obj = unequal_objective(kind, d, SMALL_SIZES)
+        x = lane_states(seed, S, obj.n_agents, obj.dim, zero_rows)
+        idxs = draw_indices(range(seed, seed + S), obj.datasets, k, m)
+        assert_lanes_equal_one_lane(obj, x, idxs)
+
+    @pytest.mark.parametrize("m", [8, 9, 16, 17, 128, 129, 131])
+    @pytest.mark.parametrize("kind", ["quadratic", "trig"])
+    def test_pairwise_sum_regime_at_d1(self, kind, m):
+        # At d = 1 the sample axis is contiguous, and NumPy sums 8 or more terms pairwise.
+        obj = unequal_objective(kind, 1, LARGE_SIZES)
+        x = lane_states(m, 3, obj.n_agents, 1, {(1, 2)})
+        assert_lanes_equal_one_lane(obj, x, draw_indices([5, 6, 7], obj.datasets, 4, m))
+
+    @pytest.mark.parametrize("kind, d", FAMILIES)
+    def test_prefix_slices_of_one_draw(self, kind, d):
+        # _lane_gradients hands each group the m-prefix views of one draw with the largest m.
+        obj = unequal_objective(kind, d, SMALL_SIZES)
+        x = lane_states(3, 4, obj.n_agents, obj.dim, set())
+        idxs = draw_indices([1, 2, 3, 4], obj.datasets, 7, min(SMALL_SIZES))
+        for m in range(1, min(SMALL_SIZES) + 1):
+            assert_lanes_equal_one_lane(obj, x, [idx[:, :m] for idx in idxs])

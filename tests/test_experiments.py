@@ -302,6 +302,23 @@ class TestRunExperiment:
         assert summary["seeds"] == [40, 7]
         assert summary["horizons"]["5"]["runs"] == 2
 
+    def test_budget_finiteness_checked_once_per_run(self, experiment_dir, monkeypatch):
+        from dpgt import privacy
+
+        calls = []
+        real = experiments.check_budget_finiteness
+
+        def spy(scheme, gp):
+            calls.append(scheme)
+            return real(scheme, gp)
+
+        monkeypatch.setattr(experiments, "check_budget_finiteness", spy)
+        monkeypatch.setattr(privacy, "check_budget_finiteness", spy)
+        summary = run_experiment(ExperimentConfig.from_file(experiment_dir / "config.json"))
+        assert len(calls) == 1  # for three horizons
+        tail = summary["budget_finiteness"]["derived"]["tail_order"]
+        assert [h["eps_tail_order"] for h in summary["horizons"].values()] == [tail] * 3
+
     def test_validator_failure_blocks_without_force(self, experiment_dir):
         bad = configio.load_json(experiment_dir / "scheme.json")
         bad["gamma"] = 0.9
