@@ -231,7 +231,8 @@ class TestGatheredGradients:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1), S=st.integers(2, 5), k=st.integers(0, 2**20),
-        m=st.integers(1, min(SMALL_SIZES)), zero_rows=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+        m=st.integers(1, min(SMALL_SIZES)),
+        zero_rows=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
     )
     def test_lanes_equal_per_agent_one_lane_calls(self, kind, d, seed, S, k, m, zero_rows):
         obj = unequal_objective(kind, d, SMALL_SIZES)
