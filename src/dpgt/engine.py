@@ -44,7 +44,9 @@ one contiguous block of seeds each, and advances each block's seeds together
 in chunks, with one gradient pass per group and one metrics pass
 per step for the whole chunk.  :func:`run_horizons` runs a large sweep of
 horizons the same way, every horizon's lanes in one chunk.  The bits are the
-same every way.
+same every way.  Errors come from the serial loops alone: if any chunk
+raises, the ensemble runs again seed after seed, and the sweep horizon after
+horizon, and that loop raises the error.
 """
 
 from __future__ import annotations
@@ -161,22 +163,15 @@ def _slot() -> tuple[np.random.Generator, np.random.Philox, list[int], dict]:
     return _local.slot
 
 
-def keyed_generator(seeds, agent: int, k: int, role: int):
-    """Philox streams keyed by (seed, agent, iteration, role), one per seed in turn.
+def keyed_generator(seeds, agent: int, k: int, role: int, draw) -> list:
+    """``[draw(gen) for each seed]``, where gen is the Philox stream keyed by (seed, agent, iteration, role).
 
-    The generator yielded for a seed draws as a fresh
-    ``Generator(Philox(key=k2))`` with ``k2 = np.array([seed % 2**64, word],
-    dtype=np.uint64)`` and ``word = agent << 48 | role << 40 | k``, whatever
-    was drawn before: taking it resets the counter and empties the buffers.
-    The key ranges are checked once per call, as the first one is taken.
-
-    Every yielded generator is the same object, shared by every keyed draw in
-    this thread and re-keyed in place, so each is valid only until the next
-    one is taken, from this call or any other: callers draw from it at once
-    and never hold it.  Returning the draws instead (ROADMAP item 3) changes
-    the call structure that the benchmark self-test pins as a closed form for
-    ``engine.keyed_generator.calls``, so that fix waits for a change that
-    rewrites the closed form.
+    Each seed's generator draws as a fresh ``Generator(Philox(key=k2))`` with
+    ``k2 = np.array([seed % 2**64, word], dtype=np.uint64)`` and
+    ``word = agent << 48 | role << 40 | k``, whatever was drawn before.  It
+    is one generator per thread, re-keyed in place for every draw (which
+    resets the counter and empties the buffers), so ``draw`` must not keep it
+    or make a keyed draw of its own.  The key ranges are checked once per call.
     """
     if not (0 <= agent < 2**_KEY_AGENT_BITS):
         raise ConfigError(f"agent id {agent} outside key range")
@@ -186,22 +181,22 @@ def keyed_generator(seeds, agent: int, k: int, role: int):
         raise ConfigError(f"role {role} outside key range")
     gen, bitgen, key, state = _slot()
     word = (agent << (_KEY_ROLE_BITS + _KEY_ITER_BITS)) | (role << _KEY_ITER_BITS) | k
+    out = []
     for seed in seeds:
         key[0] = seed % 2**64
         key[1] = word
         bitgen.state = state
-        yield gen
+        out.append(draw(gen))
+    return out
 
 
 def laplace_vector(seeds, agent: int, k: int, role: int, d: int, scale: float) -> np.ndarray:
     """Keyed d-dimensional Laplace blocks, one row per seed: (S, d); scale 0 is the exact no-noise baseline."""
     if scale < 0:
         raise ValueError("Laplace scale must be nonnegative")
-    out = np.zeros((len(seeds), d))
-    if scale != 0.0:
-        for j, gen in enumerate(keyed_generator(seeds, agent, k, role)):
-            out[j] = gen.laplace(0.0, scale, d)
-    return out
+    if scale == 0.0:
+        return np.zeros((len(seeds), d))
+    return np.array(keyed_generator(seeds, agent, k, role, lambda gen: gen.laplace(0.0, scale, d)))
 
 
 def sample_indices(seeds, agent: int, k: int, D: int, m: int) -> np.ndarray:
@@ -212,10 +207,7 @@ def sample_indices(seeds, agent: int, k: int, D: int, m: int) -> np.ndarray:
     """
     if not (1 <= m <= D):
         raise ConfigError(f"need 1 <= m <= D, got m={m}, D={D}")
-    out = np.empty((len(seeds), m), dtype=int)
-    for j, gen in enumerate(keyed_generator(seeds, agent, k, ROLE_SAMPLES)):
-        out[j] = gen.permutation(D)[:m]
-    return out
+    return np.array(keyed_generator(seeds, agent, k, ROLE_SAMPLES, lambda gen: gen.permutation(D)[:m]))
 
 
 @dataclass(frozen=True)
@@ -261,8 +253,7 @@ def draw_x0(seeds, n: int, d: int) -> np.ndarray:
     """Keyed initial states, uniform on [-1, 1]^d per agent, shape (S, n, d)."""
     x0 = np.empty((len(seeds), n, d))
     for i in range(n):
-        for j, gen in enumerate(keyed_generator(seeds, i, 0, ROLE_X0)):
-            x0[j, i] = gen.uniform(-1.0, 1.0, d)
+        x0[:, i] = keyed_generator(seeds, i, 0, ROLE_X0, lambda gen: gen.uniform(-1.0, 1.0, d))
     return x0
 
 
@@ -711,61 +702,42 @@ def _merge(K: int, seeds: list[int], trajectories: list[Trajectory]) -> Ensemble
 
 def _sweep(
     gp: GraphPair,
-    scheme: SchemeParams,
     obj: Objective,
     rates: list[Rates],
     seeds: list[int],
     x0: np.ndarray | None,
     sc: SpectralConstants,
-    noise_off: bool,
-) -> list[EnsembleResult | Exception]:
-    """The ensemble of ``seeds`` under each schedule of ``rates``, or the error of its lowest failing seed.
+) -> list[EnsembleResult] | None:
+    """The ensemble of ``seeds`` under each schedule of ``rates``, or None if any chunk raised.
 
     Every distinct horizon's lanes advance together in each chunk.  The
     seeds run on forked workers, one contiguous block each (see
-    :func:`_workers`), or serially.  A block stops at its first failing
-    chunk: the rest of the block runs again one horizon at a time, and a
-    failing one-horizon chunk is rerun seed by seed through :func:`run` to
-    find the error the serial loop raises.
+    :func:`_workers`), or serially, and a block stops at its first failing
+    chunk.  The caller then reruns its serial loop, which raises the error.
     """
     distinct = tuple(sorted({r.K: r for r in rates}.values(), key=lambda r: -r.K))
     size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * sum(r.m_int for r in distinct)))
 
-    def run_block(block: list[int], groups: tuple[Rates, ...]) -> list[list[Trajectory] | Exception]:
-        """Per group, the runs of a block in seed order, or the error of its lowest failing seed."""
-        done = [[] for _ in groups]
+    def run_block(block: list[int]) -> list[list[Trajectory]] | None:
+        """Per group, the runs of a block in seed order, or None at the first failing chunk."""
+        done = [[] for _ in distinct]
         for start in range(0, len(block), size):
-            chunk = block[start:start + size]
             try:
-                for runs, new in zip(done, _run_chunk(gp, groups, obj, chunk, x0, sc)):
-                    runs += new
-            except Exception as chunk_err:
-                if len(groups) > 1:
-                    rest = [run_block(block[start:], (r,))[0] for r in groups]
-                    return [runs + more if isinstance(more, list) else more for runs, more in zip(done, rest)]
-                for s in chunk:
-                    try:
-                        run(gp, scheme, obj, groups[0].K, s, x0=x0, sc=sc, noise_off=noise_off)
-                    except Exception as err:
-                        return [err]
-                return [chunk_err]
+                new = _run_chunk(gp, distinct, obj, block[start:start + size], x0, sc)
+            except Exception:
+                return None
+            for runs, more in zip(done, new):
+                runs += more
         return done
 
     w = _workers(len(seeds))
     if w > 1:
-        blocks = [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)]
-        results = _run_forked(lambda block: run_block(block, distinct), blocks)
+        results = _run_forked(run_block, [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)])
     else:
-        results = [run_block(seeds, distinct)]
-    by_K = {}
-    for g, r in enumerate(distinct):
-        runs = []
-        for result in results:
-            if isinstance(result[g], Exception):
-                runs = result[g]
-                break
-            runs += result[g]
-        by_K[r.K] = runs if isinstance(runs, Exception) else _merge(r.K, seeds, runs)
+        results = [run_block(seeds)]
+    if None in results:
+        return None
+    by_K = {r.K: _merge(r.K, seeds, [t for result in results for t in result[g]]) for g, r in enumerate(distinct)}
     return [by_K[r.K] for r in rates]
 
 
@@ -781,34 +753,33 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Independent runs over a seed list, merged in seed order.
 
-    Two paths run the same loop.  A small ensemble (see :func:`_large`)
-    runs seed after seed through :func:`run`: batching gains little there,
-    and the benchmark self-test counts the calls of that path on its short
-    shapes.  A large ensemble is a sweep of one horizon: it runs on forked
-    worker processes, one per available core up to one per seed, each
-    running one contiguous block of seeds; it runs serially on one core,
-    where ``fork`` is unavailable, while other threads are alive, or inside
-    a daemonic process.  Either way a block advances its seeds together, in
-    chunks whose per-sample gradients fit in ``_CHUNK_BYTES``, with one
-    gradient pass and one metrics pass per step for the chunk.
+    A small ensemble (see :func:`_large`) runs seed after seed through
+    :func:`run`: batching gains little there, and the benchmark self-test
+    counts the calls of that path on its short shapes.  A large ensemble is
+    first tried as a sweep of one horizon: it runs on forked worker
+    processes, one per available core up to one per seed, each running one
+    contiguous block of seeds; it runs serially on one core, where ``fork``
+    is unavailable, while other threads are alive, or inside a daemonic
+    process.  Either way a block advances its seeds together, in chunks
+    whose per-sample gradients fit in ``_CHUNK_BYTES``, with one gradient
+    pass and one metrics pass per step for the chunk.
 
     Every run is pure with keyed RNG streams, and every array operation acts
     on each seed as on one seed's arrays, so results are identical batched or
-    per seed, pooled or serially.  The error raised is the lowest failing
-    seed's, as the serial loop raises it: a block stops at its first failing
-    chunk, which is rerun seed by seed through :func:`run` to raise it.
+    per seed, pooled or serially.  If any chunk raises, the ensemble runs
+    again seed after seed, and that loop raises the lowest failing seed's
+    error.  A forked worker that dies raises ``RuntimeError``.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
     if sc is None:
         sc = spectral_constants(gp)
-    if not _large(obj, K, len(seeds)):
-        return _merge(K, seeds, [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds])
-    (result,) = _sweep(gp, scheme, obj, [_checked_rates(gp, scheme, obj, K, noise_off)], seeds, x0, sc, noise_off)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    if _large(obj, K, len(seeds)):
+        swept = _sweep(gp, obj, [_checked_rates(gp, scheme, obj, K, noise_off)], seeds, x0, sc)
+        if swept is not None:
+            return swept[0]
+    return _merge(K, seeds, [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds])
 
 
 def run_horizons(
@@ -827,27 +798,23 @@ def run_horizons(
     per horizon, for horizons in any order, repeated or not: a horizon's
     error is raised after the earlier horizons' results.  A sweep with no
     large horizon (see :func:`_large`) does call it per horizon, as the
-    benchmark self-test counts.  Any other is computed before its first
-    result, in one :func:`_sweep`.
+    benchmark self-test counts.  Any other is first tried in one
+    :func:`_sweep`, computed before its first result; if a horizon is
+    refused or a chunk raises, every horizon runs through :func:`run_ensemble`
+    in turn, and that loop raises the error.
     """
     horizons = [int(K) for K in horizons]
     seeds = [int(s) for s in seeds]
-    if not seeds or not any(_large(obj, K, len(seeds)) for K in horizons):
-        for K in horizons:
-            yield run_ensemble(gp, scheme, obj, K, seeds, x0=x0, sc=sc, noise_off=noise_off)
-        return
-    if sc is None:
-        sc = spectral_constants(gp)
-    rates, refused = [], None
-    for K in horizons:
+    if seeds and any(_large(obj, K, len(seeds)) for K in horizons):
+        if sc is None:
+            sc = spectral_constants(gp)
         try:
-            rates.append(_checked_rates(gp, scheme, obj, K, noise_off))
-        except ValueError as err:
-            refused = err
-            break
-    for result in _sweep(gp, scheme, obj, rates, seeds, x0, sc, noise_off) if rates else []:
-        if isinstance(result, Exception):
-            raise result
-        yield result
-    if refused is not None:
-        raise refused
+            rates = [_checked_rates(gp, scheme, obj, K, noise_off) for K in horizons]
+        except ValueError:  # a refused horizon: the loop below raises its error in turn
+            rates = None
+        swept = None if rates is None else _sweep(gp, obj, rates, seeds, x0, sc)
+        if swept is not None:
+            yield from swept
+            return
+    for K in horizons:
+        yield run_ensemble(gp, scheme, obj, K, seeds, x0=x0, sc=sc, noise_off=noise_off)

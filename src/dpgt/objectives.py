@@ -137,9 +137,6 @@ class Objective:
         value = self.family.global_value(np.asarray(x, float))
         return float(value) if np.ndim(value) == 0 else value
 
-    def global_gradient(self, x) -> np.ndarray:
-        return self.global_gradient_rows(np.asarray(x, float)[None])[0]
-
     def global_gradient_rows(self, xs) -> np.ndarray:
         """Network gradient at each row of xs."""
         return self.family.global_gradient_rows(np.asarray(xs, float))

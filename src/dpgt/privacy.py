@@ -240,16 +240,13 @@ def coupled_pair_run(
     K: int,
     seed: int,
     x0: np.ndarray | None = None,
-    forbid: dict | None = None,
 ) -> CoupledRunResult:
     """Two runs with pinned broadcasts, differing only through the datasets.
 
     Both runs consume the first run's perturbed values and the same sample
     index draws, realizing the conditioning under which the sensitivity
-    recursion is stated.  ``forbid`` optionally remaps a sample index per
-    agent so the differing sample is never drawn (diagnostic use).  A
-    ``DivergenceError`` from either side names ``seed``, as ``engine.run``'s
-    does.
+    recursion is stated.  A ``DivergenceError`` from either side names
+    ``seed``, as ``engine.run``'s does.
     """
     n, d = gp.n, obj.dim
     differing = {}
@@ -260,7 +257,6 @@ def coupled_pair_run(
             if "identical" in str(exc):
                 continue  # identical collections are allowed; their differences are 0
             raise
-    forbid = forbid or {}
 
     check_agent_count(scheme, n)
     rates = rates_at(scheme, K)
@@ -269,17 +265,7 @@ def coupled_pair_run(
     seeds = [seed]
     x0 = draw_x0(seeds, n, d) if x0 is None else np.asarray(x0, dtype=float)[None]
 
-    def draw(k: int) -> list[np.ndarray]:
-        idxs = draw_indices(seeds, datasets, k, m)
-        for i in range(n):
-            if i in forbid and forbid[i] in idxs[i]:
-                pool = np.setdiff1d(np.arange(datasets[i].size), idxs[i])
-                if pool.size == 0:
-                    raise ValueError("cannot exclude an index from a full-batch draw")
-                idxs[i] = np.where(idxs[i] == forbid[i], pool[0], idxs[i])
-        return idxs
-
-    idxs = draw(0)
+    idxs = draw_indices(seeds, datasets, 0, m)
     x_a, y_a = x0, sampled_gradients(obj, datasets, x0, idxs)
     x_b, y_b = x0, sampled_gradients(obj, datasets_alt, x0, idxs)
     g_a, g_b = y_a, y_b
@@ -291,7 +277,7 @@ def coupled_pair_run(
         for k in range(K):
             zeta, eta = noise(seeds, (rates,), k, n, d)
             xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
-            idxs = draw(k + 1)
+            idxs = draw_indices(seeds, datasets, k + 1, m)
             x_a, y_a, g_a = update(
                 x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), (rates,), gp, k
             )

@@ -114,7 +114,7 @@ def measured_constants(obj, center, spread, seed=9):
         x = center + rng.normal(0, 1.2 * spread, d)
         gap = obj.global_value(x) - obj.F_star
         if gap >= 1e-10:
-            pl = min(pl, float(np.linalg.norm(obj.global_gradient(x)) ** 2 / (2 * gap)))
+            pl = min(pl, float(np.linalg.norm(obj.global_gradient_rows(x[None])[0]) ** 2 / (2 * gap)))
     return ObjectiveConstants(L1_smooth=1.1 * lip, mu=0.9 * pl, sigma_g=1.1 * math.sqrt(var))
 
 
@@ -234,7 +234,8 @@ def test_05_polynomial_rate(quad_instance):
     import scipy.optimize
 
     x_hat = scipy.optimize.minimize(
-        obj.global_value, np.full(10, 3.0 / math.sqrt(10)), jac=obj.global_gradient, tol=1e-14
+        obj.global_value, np.full(10, 3.0 / math.sqrt(10)),
+        jac=lambda x: obj.global_gradient_rows(x[None])[0], tol=1e-14,
     ).x
     x0 = np.tile(x_hat + 0.776 * np.ones(10) / math.sqrt(10), (5, 1))
     finals = []

@@ -79,9 +79,14 @@ def family_objective(kind, n=5):
 DIVERGENCE_FIELDS = ("variable", "k", "agent", "magnitude", "seed")
 
 
-def one(seed, agent, k, role):
-    """The keyed generator of one seed."""
-    return next(keyed_generator([seed], agent, k, role))
+def one(seed, agent, k, role, draw):
+    """``draw`` applied to the keyed generator of one seed."""
+    (got,) = keyed_generator([seed], agent, k, role, draw)
+    return got
+
+
+def laplace4(gen):
+    return gen.laplace(0, 1, 4)
 
 
 class TestLaplace:
@@ -91,9 +96,9 @@ class TestLaplace:
 
 class TestKeyedStreams:
     def test_same_key_same_draws_any_order(self):
-        a = one(9, 2, 5, 1).laplace(0, 1, 4)
-        _ = one(9, 3, 5, 1).laplace(0, 1, 4)  # interleaved other stream
-        b = one(9, 2, 5, 1).laplace(0, 1, 4)
+        a = one(9, 2, 5, 1, laplace4)
+        _ = one(9, 3, 5, 1, laplace4)  # interleaved other stream
+        b = one(9, 2, 5, 1, laplace4)
         assert np.array_equal(a, b)
 
     @settings(max_examples=300, deadline=None)
@@ -114,14 +119,16 @@ class TestKeyedStreams:
             lambda g: g.laplace(0.0, 0.7, size),
             lambda g: g.permutation(size + 3),
         ):
-            prior = one(seed + 1, (agent + 1) % 2**16, k, role)
-            if before == "random":
-                prior.random(size)
-            elif before == "integers":
-                prior.integers(0, 10, size=size, dtype=np.int32)
-            elif before == "permutation":
-                prior.permutation(size)
-            got = draw(one(seed, agent, k, role))
+            def prior(gen):
+                if before == "random":
+                    gen.random(size)
+                elif before == "integers":
+                    gen.integers(0, 10, size=size, dtype=np.int32)
+                elif before == "permutation":
+                    gen.permutation(size)
+
+            one(seed + 1, (agent + 1) % 2**16, k, role, prior)
+            got = one(seed, agent, k, role, draw)
             # A uint64 array: a plain list with a word >= 2**63 would pass through float64.
             key = np.array([seed % 2**64, word], dtype=np.uint64)
             want = draw(np.random.Generator(np.random.Philox(key=key)))
@@ -135,10 +142,13 @@ class TestKeyedStreams:
 
         def worker(seed):
             got, want = [], []
-            for k in range(25):
-                gen = one(seed, 3, k, 2)
+
+            def draw(gen):
                 barrier.wait()
-                got.append(gen.random(5))
+                return gen.random(5)
+
+            for k in range(25):
+                got.append(one(seed, 3, k, 2, draw))
                 barrier.wait()
                 key = np.array([seed, (3 << 48) | (2 << 40) | k], dtype=np.uint64)
                 want.append(np.random.Generator(np.random.Philox(key=key)).random(5))
@@ -155,15 +165,15 @@ class TestKeyedStreams:
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     def test_distinct_keys_decorrelated(self):
-        a = one(9, 2, 5, 1).laplace(0, 1, 1000)
-        b = one(9, 2, 6, 1).laplace(0, 1, 1000)
+        a = one(9, 2, 5, 1, lambda gen: gen.laplace(0, 1, 1000))
+        b = one(9, 2, 6, 1, lambda gen: gen.laplace(0, 1, 1000))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_key_range_guards(self):
         with pytest.raises(ConfigError):
-            one(1, -1, 0, 0)
+            one(1, -1, 0, 0, laplace4)
         with pytest.raises(ConfigError):
-            one(1, 0, 2**40, 0)
+            one(1, 0, 2**40, 0, laplace4)
 
 
 class TestSampling:
@@ -690,7 +700,8 @@ class TestEnsemble:
         assert str(pooled.value) == str(serial.value)
 
     def test_first_failure_cancels_queued_seeds(self, monkeypatch, tmp_path):
-        # Each block stops at its first failure: seeds 2-4 and 8-9 never start.
+        # Every chunk fails, so the seeds run again one by one, and that loop
+        # stops at its first failure: seeds 2-9 never start.
         started = tmp_path / "started"
 
         def fake_run(gp, scheme, obj, K, seed, **kw):
@@ -704,11 +715,11 @@ class TestEnsemble:
         with pytest.raises(DivergenceError) as caught:
             run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(10))
         assert caught.value.seed == 1
-        assert sorted(map(int, started.read_text().split())) == [0, 1, 5, 6, 7]
+        assert sorted(map(int, started.read_text().split())) == [0, 1]
 
     def test_later_block_failing_first_raises_the_lowest_seeds_error(self, monkeypatch, tmp_path):
-        # Seed 4 (second block) fails at once; seed 2 (first block) fails later.
-        # Seed 2's error is raised, as the serial loop raises it.
+        # Seeds 2 and 4 fail, seed 2 slowly.  Every chunk fails, so the seeds
+        # run again one by one, and seed 2's error is raised before seed 4 runs.
         failed = tmp_path / "failed"
 
         def fake_run(gp, scheme, obj, K, seed, **kw):
@@ -723,8 +734,22 @@ class TestEnsemble:
         pool_on(monkeypatch)
         with pytest.raises(DivergenceError) as caught:
             run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(6))
-        assert failed.read_text().split() == ["4", "2"]
+        assert failed.read_text().split() == ["2"]
         assert [getattr(caught.value, a) for a in DIVERGENCE_FIELDS] == ["tracking", 5, 2, 2e12, 2]
+
+    def test_worker_dying_in_a_chunk_is_reported(self, monkeypatch):
+        # Only an exception in a chunk reruns the seeds one by one: a worker
+        # that dies is an error of its own.
+        parent = os.getpid()
+
+        def dying(gp, groups, obj, seeds, x0, sc):
+            assert os.getpid() != parent, "the seeds ran again in this process"
+            os._exit(3)
+
+        monkeypatch.setattr(engine, "_run_chunk", dying)
+        pool_on(monkeypatch)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_ensemble(five_node_pair(), s2(), quad_objective(), K=3, seeds=range(4))
 
     def test_dead_worker_is_reported(self):
         with pytest.raises(RuntimeError, match="exited with code 3"):
@@ -888,11 +913,13 @@ lane_scales = hst.one_of(
 
 def leave_partial_state(before: str) -> None:
     """A keyed draw that leaves the shared generator mid-buffer or with a spare uint32."""
-    gen = one(123, 4, 5, 1)
-    if before == "partial buffer":
-        gen.random(3)
-    elif before == "spare uint32":
-        gen.integers(0, 10, size=1, dtype=np.int32)
+    def draw(gen):
+        if before == "partial buffer":
+            gen.random(3)
+        elif before == "spare uint32":
+            gen.integers(0, 10, size=1, dtype=np.int32)
+
+    one(123, 4, 5, 1, draw)
 
 
 lane_agents = hst.one_of(hst.just(2**16 - 1), hst.integers(0, 2**16 - 1))
@@ -910,9 +937,9 @@ class TestLaneDraws:
             # Three int32 draws leave a spare uint32 that the next lane must not take.
             return gen.integers(0, 2**31 - 1, size=3, dtype=np.int32).tobytes() + gen.random(2).tobytes()
 
-        want = [draw(one(s, agent, k, role)) for s in seeds]
+        want = [one(s, agent, k, role, draw) for s in seeds]
         leave_partial_state(before)
-        assert [draw(gen) for gen in keyed_generator(seeds, agent, k, role)] == want
+        assert keyed_generator(seeds, agent, k, role, draw) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -968,15 +995,24 @@ class TestLaneDraws:
                     assert not np.signbit(g[:, i]).any() and not g[:, i].any()
 
     def test_lane_drawn_between_per_seed_draws(self):
-        # A keyed draw inside the lane loop re-keys the shared generator;
-        # the next lane still draws its own stream.
+        # Lanes drawn between the calls of other keys, each leaving the
+        # shared generator with a spare uint32: every lane still draws its own stream.
         seeds = [3, 2**64 - 1, 11]
         got = []
-        for gen in keyed_generator(seeds, 7, 9, engine.ROLE_SAMPLES):
-            got.append(gen.permutation(50))
-            one(1, 2, 3, 1).integers(0, 10, size=1, dtype=np.int32)
-        want = [one(s, 7, 9, engine.ROLE_SAMPLES).permutation(50) for s in seeds]
+        for s in seeds:
+            got += keyed_generator([s], 7, 9, engine.ROLE_SAMPLES, lambda gen: gen.permutation(50))
+            one(1, 2, 3, 1, lambda gen: gen.integers(0, 10, size=1, dtype=np.int32))
+        want = keyed_generator(seeds, 7, 9, engine.ROLE_SAMPLES, lambda gen: gen.permutation(50))
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    def test_draws_of_two_keys_taken_in_turn_are_their_own(self):
+        # Two keys' draws taken one after the other, the first before the
+        # second: each equals its fresh generator's draw, not the other key's.
+        first, second = (keyed_generator([1], agent, 0, 1, lambda gen: gen.random(4)) for agent in (0, 1))
+        for (got,), agent in ((first, 0), (second, 1)):
+            fresh = np.random.Generator(np.random.Philox(key=np.array([1, (agent << 48) | (1 << 40)], dtype=np.uint64)))
+            assert got.tobytes() == fresh.random(4).tobytes()
+        assert first[0].tobytes() != second[0].tobytes()
 
     def test_compact_step_lanes_equal_one_lane_states(self):
         gp, obj = five_node_pair(), quad_objective()
@@ -1166,7 +1202,18 @@ class TestHorizonSweep:
         with pytest.raises(ConfigError) as swept:
             next(sweep)
         assert str(swept.value) == str(alone.value)
-        assert batches == [[0, 1, 2, 3]]  # one chunk for K 8 and 3; K 5, after the refusal, never runs
+        assert batches == [[0, 1, 2, 3]] * 2  # one chunk per horizon for K 8 and 3; K 5, after the refusal, never runs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wrong_shape_x0_raises_the_per_horizon_error(self, monkeypatch, workers):
+        gp, obj = five_node_pair(), quad_objective()
+        with pytest.raises(ConfigError) as per_horizon:
+            sweep_results(gp, s2(), obj, [7, 3], range(4), x0=np.zeros(4))
+        pool_on(monkeypatch, cores=workers)
+        with pytest.raises(ConfigError) as swept:
+            next(run_horizons(gp, s2(), obj, [7, 3], range(4), x0=np.zeros(4)))
+        assert str(swept.value) == str(per_horizon.value)
+        assert "x0 must have shape" in str(swept.value)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_diverging_sweep_raises_the_per_horizon_error(self, monkeypatch, workers):

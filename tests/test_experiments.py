@@ -387,7 +387,7 @@ class TestRunExperiment:
         monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         got = failure()
-        assert forks == ([2] if cores == 2 else [])
+        assert forks == ([2, 2, 2] if cores == 2 else [])  # the sweep, then K = 10 and K = 33 alone
         assert got == want
         assert want[0][1] == 34 and want[0][4] == 25
         assert sorted(want[1]) == ["trace_K10.csv"]

@@ -128,7 +128,7 @@ class TestGlobalEvaluators:
         rows = family.global_gradient_rows(xs)
         assert rows.shape == xs.shape
         for x, row in zip(xs, rows):
-            assert np.array_equal(row, family.global_gradient(x))
+            assert np.array_equal(row, family.global_gradient_rows(x[None])[0])
 
     def test_gradient_matches_central_differences(self, family):
         rng = np.random.default_rng(2)
@@ -139,7 +139,7 @@ class TestGlobalEvaluators:
                 (family.global_value(x + h * e) - family.global_value(x - h * e)) / (2 * h)
                 for e in np.eye(family.dim)
             ])
-            assert np.allclose(family.global_gradient(x), num, rtol=1e-6, atol=1e-6)
+            assert np.allclose(family.global_gradient_rows(x[None])[0], num, rtol=1e-6, atol=1e-6)
 
 
 class TestAffineSplit:
@@ -313,7 +313,7 @@ class TestVerifyConstants:
         for x in xs:
             gap = trig.global_value(np.array([x])) - trig.F_star
             if gap >= 1e-10:
-                ratios.append(np.linalg.norm(trig.global_gradient(np.array([x]))) ** 2 / (2 * gap))
+                ratios.append(np.linalg.norm(trig.global_gradient_rows(np.array([[x]]))[0]) ** 2 / (2 * gap))
         assert rep.pl.estimate == pytest.approx(min(ratios), rel=1e-9)
         assert rep.pl.estimate >= trig.mu * 0.95
         assert rep.pl.passed

@@ -468,13 +468,6 @@ class TestCoupledRuns:
         assert res.dx_measured.max() == 0.0
         assert res.dy_measured.max() == 0.0
 
-    def test_forbidden_index_keeps_runs_identical(self):
-        gp, p, obj, ds, alt = self.setup_pair()
-        l0 = differing_index(ds[1], alt[1])
-        res = coupled_pair_run(gp, p, obj, list(ds), alt, K=30, seed=1, forbid={1: l0})
-        assert res.dx_measured.max() == 0.0
-        assert res.dy_measured.max() == 0.0
-
     def test_measured_differences_below_bounds(self):
         gp, p, obj, ds, alt = self.setup_pair()
         C = adjacency_constant(obj, ds[1], alt[1])
