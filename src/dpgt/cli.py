@@ -26,7 +26,6 @@ from .engine import DivergenceError, run_ensemble
 from .experiments import (
     ExperimentConfig,
     ValidatorFailure,
-    auto_adjacency_constant,
     run_experiment,
     run_sweep,
 )
@@ -35,7 +34,7 @@ from .objectives import (
     generate_quadratic_datasets,
     generate_trig_datasets,
 )
-from .privacy import epsilon, sensitivity_trace
+from .privacy import epsilon, sensitivity_trace, swap_bound
 from .recursion import ObjectiveConstants, build_model, contraction_check, dominance_check
 from .schemes import validate
 
@@ -113,7 +112,7 @@ def _cmd_privacy_budget(args) -> int:
         obj = configio.objective_from_dict(
             configio.load_json(args.objective), Path(args.objective).parent
         )
-        C = auto_adjacency_constant(obj)
+        C = swap_bound(obj, obj.datasets)
     else:
         C = float(args.C)
     trace = sensitivity_trace(gp, scheme, C, args.K)

@@ -32,7 +32,6 @@ __all__ = [
     "SuboptimalResult",
     "fit_rate",
     "suboptimal_horizon",
-    "auto_adjacency_constant",
     "write_trace_csv",
     "run_experiment",
     "run_sweep",
@@ -123,11 +122,6 @@ def suboptimal_horizon(final_grad_by_K: dict, phi: float, scheme: SchemeParams) 
             m = rates_at(scheme, K).m
             return SuboptimalResult(reached=True, horizon=K, oracle_count=(K + 1) * m)
     return SuboptimalResult(reached=False, horizon=None, oracle_count=None)
-
-
-def auto_adjacency_constant(obj: Objective) -> float:
-    """Worst-case gradient-swap constant over every agent's own sample pool."""
-    return swap_bound(obj, obj.datasets)
 
 
 _CONFIG_REQUIRED_KEYS = ("graph", "scheme", "objective", "horizons", "output_dir")
@@ -265,7 +259,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
     C = config.adjacency_C
-    C = auto_adjacency_constant(obj) if C == "auto" else float(C)
+    C = swap_bound(obj, obj.datasets) if C == "auto" else float(C)
     summary["adjacency_C"] = C
 
     final_by_K: dict[int, np.ndarray] = {}

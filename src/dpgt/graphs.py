@@ -263,19 +263,20 @@ def _sort_eigs(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def spectrum(M, max_n: int = DEFAULT_MAX_N, residual_tol: float = EIG_RESIDUAL_TOL) -> np.ndarray:
+def spectrum(M) -> np.ndarray:
     """All eigenvalues of a dense real matrix, sorted by (modulus, real, imag).
 
-    Every returned eigenvalue is certified against its eigenvector:
-    ||M v - lam v|| <= residual_tol * max(1, ||M||_2).
+    The matrix may have at most ``DEFAULT_MAX_N`` rows.  Every returned
+    eigenvalue is certified against its eigenvector:
+    ||M v - lam v|| <= EIG_RESIDUAL_TOL * max(1, ||M||_2).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {M.shape}")
     if not np.isfinite(M).all():
         raise NonFiniteEntryError("matrix contains non-finite entries")
-    if M.shape[0] > max_n:
-        raise GraphValidationError(f"matrix size {M.shape[0]} exceeds cap {max_n}")
+    if M.shape[0] > DEFAULT_MAX_N:
+        raise GraphValidationError(f"matrix size {M.shape[0]} exceeds cap {DEFAULT_MAX_N}")
     try:
         vals, vecs = scipy.linalg.eig(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
@@ -283,10 +284,8 @@ def spectrum(M, max_n: int = DEFAULT_MAX_N, residual_tol: float = EIG_RESIDUAL_T
     scale = max(1.0, float(np.linalg.norm(M, 2))) if M.size else 1.0
     residuals = np.linalg.norm(M @ vecs - vecs * vals[None, :], axis=0)
     worst = float(residuals.max()) if residuals.size else 0.0
-    if worst > residual_tol * scale:
-        raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds {residual_tol * scale:.3e}"
-        )
+    if worst > EIG_RESIDUAL_TOL * scale:
+        raise EigensolverError(f"eigenpair residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL * scale:.3e}")
     return _sort_eigs(vals)
 
 

@@ -311,30 +311,55 @@ def _logistic_coef(x: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return -samples[..., -1] / (1.0 + np.exp(_margins(x, samples)))
 
 
-class _Logistic:
-    """Logistic loss with a ridge term; each sample is (features..., label).
+#: Ridge weight of the logistic loss.
+_RIDGE = 1e-2
 
-    F and its gradient reduce through each agent's (..., D) margins in turn:
-    no per-sample gradient block, and a lane's bits do not depend on the lane count.
+#: Bound on one (lanes, D) array of a logistic ``global_value`` or
+#: ``global_gradient_rows`` call; the lanes run in blocks of as many as fit.
+_LANE_BLOCK_BYTES = 1 << 23
+
+
+def _in_lane_blocks(evaluate):
+    """``evaluate`` at points x (..., d), over blocks of lanes if one block is too large."""
+
+    def blocked(self, x):
+        size = max(1, _LANE_BLOCK_BYTES // (8 * max(s.shape[0] for s in self.samples)))
+        lanes = x.reshape(-1, x.shape[-1])
+        if lanes.shape[0] <= size:
+            return evaluate(self, x)
+        out = np.concatenate([evaluate(self, lanes[i:i + size]) for i in range(0, lanes.shape[0], size)])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    return blocked
+
+
+class _Logistic:
+    """Logistic loss with the ridge term ``_RIDGE``; each sample is (features..., label).
+
+    F and its gradient reduce through each agent's (lanes, D) margins in turn,
+    over blocks of lanes whose margins fit in ``_LANE_BLOCK_BYTES``: no
+    per-sample gradient block, and a lane's bits depend on neither the lane
+    count nor the block size, since its gemv and row mean do not.
     """
 
-    def __init__(self, datasets, ridge: float):
+    def __init__(self, datasets):
         self.samples = [ds.samples for ds in datasets]
-        self.ridge = ridge
 
     def loss(self, x, xi):
-        return np.logaddexp(0.0, -_margins(x, xi)) + 0.5 * self.ridge * _dots(x)
+        return np.logaddexp(0.0, -_margins(x, xi)) + 0.5 * _RIDGE * _dots(x)
 
     def grad_batch(self, x, xis) -> np.ndarray:
-        return _logistic_coef(x, xis)[..., None] * xis[..., :-1] + self.ridge * x[..., None, :]
+        return _logistic_coef(x, xis)[..., None] * xis[..., :-1] + _RIDGE * x[..., None, :]
 
+    @_in_lane_blocks
     def global_value(self, x):
         total = sum(np.logaddexp(0.0, -_margins(x, s)).mean(axis=-1) for s in self.samples)
-        return total / len(self.samples) + 0.5 * self.ridge * _dots(x)
+        return total / len(self.samples) + 0.5 * _RIDGE * _dots(x)
 
+    @_in_lane_blocks
     def global_gradient_rows(self, xs) -> np.ndarray:
         total = sum(_mv(s[:, :-1].T, _logistic_coef(xs, s)) / s.shape[0] for s in self.samples)
-        return total / len(self.samples) + self.ridge * xs
+        return total / len(self.samples) + _RIDGE * xs
 
 
 def _noise_var(g: np.ndarray) -> np.ndarray:
@@ -434,18 +459,18 @@ def make_trig(n_agents: int, datasets) -> Objective:
     )
 
 
-def make_logistic(n_agents: int, datasets, ridge: float = 1e-2, seed: int = 0) -> Objective:
+def make_logistic(n_agents: int, datasets) -> Objective:
     """Binary logistic regression demo with numerically estimated constants."""
     datasets = tuple(datasets)
     d = datasets[0].sample_dim - 1
     if d < 1:
         raise DatasetError("logistic samples must be (features..., label)")
     n = n_agents
-    fam = _Logistic(datasets[:n], ridge)
+    fam = _Logistic(datasets[:n])
 
     # Curvature bound 0.25 * max ||f||^2 + ridge; noise bound over every agent's data at 8 points.
-    L1 = 0.25 * max(float((s[:, :-1] ** 2).sum(axis=1).max()) for s in fam.samples) + ridge
-    xs = np.random.default_rng(seed).normal(0.0, 1.0, (8, d))
+    L1 = 0.25 * max(float((s[:, :-1] ** 2).sum(axis=1).max()) for s in fam.samples) + _RIDGE
+    xs = np.random.default_rng(0).normal(0.0, 1.0, (8, d))
     sig2 = max(float(_noise_var(fam.grad_batch(xs, s)).max()) for s in fam.samples)
     opt = scipy.optimize.minimize(fam.global_value, np.zeros(d), jac=fam.global_gradient_rows, tol=1e-12)
 
@@ -484,18 +509,16 @@ class ConstantsReport:
     pl: ConstantCheck | None
 
 
-def verify_constants(
-    obj: Objective,
-    trials: int = 400,
-    grid: int = 400,
-    seed: int = 0,
-    margin: float = 0.05,
-) -> ConstantsReport:
+#: Relative slack of :func:`verify_constants`, reported in each ``ConstantCheck.margin``.
+_MARGIN = 0.05
+
+
+def verify_constants(obj: Objective, trials: int = 400, grid: int = 400, seed: int = 0) -> ConstantsReport:
     """Monte-Carlo / grid estimates of the declared constants.
 
     Lipschitz and noise estimates must not exceed their declared bounds by
-    more than ``margin``; the quadratic-growth ratio must not fall below the
-    declared constant by more than ``margin``.  Skipped when mu == 0.
+    more than ``_MARGIN``; the quadratic-growth ratio must not fall below the
+    declared constant by more than ``_MARGIN``.  Skipped when mu == 0.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = obj.dim
@@ -511,7 +534,7 @@ def verify_constants(
             continue
         lip = max(lip, float(np.linalg.norm(obj.grad(x, xi) - obj.grad(y, xi)) / gap))
     lip_check = ConstantCheck(
-        "gradient_lipschitz", lip, obj.L1_smooth, margin, lip <= obj.L1_smooth * (1.0 + margin)
+        "gradient_lipschitz", lip, obj.L1_smooth, _MARGIN, lip <= obj.L1_smooth * (1.0 + _MARGIN)
     )
 
     var = 0.0
@@ -520,7 +543,7 @@ def verify_constants(
         for agent in range(obj.n_agents):
             var = max(var, float(_noise_var(obj.grad_batch(x, obj.datasets[agent].samples))))
     var_check = ConstantCheck(
-        "gradient_noise_var", var, obj.sigma_g**2, margin, var <= obj.sigma_g**2 * (1.0 + margin)
+        "gradient_noise_var", var, obj.sigma_g**2, _MARGIN, var <= obj.sigma_g**2 * (1.0 + _MARGIN)
     )
 
     pl_check = None
@@ -535,7 +558,7 @@ def verify_constants(
         keep = gaps >= 1e-10
         ratio = float(np.min(sq_norms[keep] / (2.0 * gaps[keep]), initial=math.inf))
         pl_check = ConstantCheck(
-            "quadratic_growth", ratio, obj.mu, margin, ratio >= obj.mu * (1.0 - margin)
+            "quadratic_growth", ratio, obj.mu, _MARGIN, ratio >= obj.mu * (1.0 - _MARGIN)
         )
 
     return ConstantsReport(lipschitz=lip_check, variance=var_check, pl=pl_check)

@@ -86,29 +86,10 @@ def swap_bound(obj: Objective, datasets) -> float:
     return (2.0**obj.tau + 1.0) * math.sqrt(obj.dim) * obj.L2_holder * worst**obj.tau
 
 
-def adjacency_constant(
-    obj: Objective,
-    ds: Dataset,
-    ds_alt: Dataset,
-    mode: str = "bound",
-    xs: np.ndarray | None = None,
-) -> float:
-    """Gradient-difference constant C for one adjacent dataset pair.
-
-    mode="bound" returns :func:`swap_bound` over both datasets.
-    mode="empirical" instead takes the maximum of
-    ||g(x, xi) - g(x, xi')||_1 over the supplied grid of points x.
-    """
-    l0 = differing_index(ds, ds_alt)
-    if mode == "bound":
-        return swap_bound(obj, (ds, ds_alt))
-    if mode == "empirical":
-        if xs is None:
-            raise ValueError("empirical mode needs a grid of points xs")
-        xs = np.atleast_2d(np.asarray(xs, float))
-        diff = obj.grad_batch(xs, ds.samples[None, l0]) - obj.grad_batch(xs, ds_alt.samples[None, l0])
-        return float(np.abs(diff).sum(axis=-1).max(initial=0.0))
-    raise ValueError(f"unknown mode {mode!r}")
+def adjacency_constant(obj: Objective, ds: Dataset, ds_alt: Dataset) -> float:
+    """Gradient-difference constant C for one adjacent dataset pair: :func:`swap_bound` over both."""
+    differing_index(ds, ds_alt)
+    return swap_bound(obj, (ds, ds_alt))
 
 
 @dataclass(frozen=True)
@@ -239,14 +220,13 @@ def coupled_pair_run(
     datasets_alt: list[Dataset],
     K: int,
     seed: int,
-    x0: np.ndarray | None = None,
 ) -> CoupledRunResult:
     """Two runs with pinned broadcasts, differing only through the datasets.
 
-    Both runs consume the first run's perturbed values and the same sample
-    index draws, realizing the conditioning under which the sensitivity
-    recursion is stated.  A ``DivergenceError`` from either side names
-    ``seed``, as ``engine.run``'s does.
+    Both start at the seed's keyed x0 and consume the first run's perturbed
+    values and the same sample index draws, realizing the conditioning under
+    which the sensitivity recursion is stated.  A ``DivergenceError`` from
+    either side names ``seed``, as ``engine.run``'s does.
     """
     n, d = gp.n, obj.dim
     differing = {}
@@ -263,7 +243,7 @@ def coupled_pair_run(
     m = rates.m_int
     # One lane: states are (1, n, d), index draws (1, m) per agent.
     seeds = [seed]
-    x0 = draw_x0(seeds, n, d) if x0 is None else np.asarray(x0, dtype=float)[None]
+    x0 = draw_x0(seeds, n, d)
 
     idxs = draw_indices(seeds, datasets, 0, m)
     x_a, y_a = x0, sampled_gradients(obj, datasets, x0, idxs)
@@ -306,6 +286,12 @@ class MicroDPReport:
     passed: bool
 
 
+#: Boxes drawn by :func:`micro_dp_check`, and the fewest outputs of each run
+#: that a box must hold to be tested.
+_N_BOXES = 120
+_MIN_HITS = 500
+
+
 def _subset_means(rng: np.random.Generator, values: np.ndarray, m: int, trials: int) -> np.ndarray:
     """Mean of a uniform m-subset of ``values`` per trial (without replacement)."""
     D = values.shape[0]
@@ -325,15 +311,14 @@ def micro_dp_check(
     K: int,
     trials: int = 10**6,
     seed: int = 20240,
-    n_boxes: int = 120,
-    min_hits: int = 500,
 ) -> MicroDPReport:
     """Monte-Carlo output-distribution ratio test on a tiny instance.
 
     Guards: K <= 2, scalar states, at most two agents, and a loss affine in
     the sample (quadratic or trig).  The mechanism is run ``trials`` times
-    per dataset collection; over a family of axis-aligned boxes on the
-    differing agent's published sequence, the empirical ratio
+    per dataset collection; over ``_N_BOXES`` axis-aligned boxes on the
+    differing agent's published sequence, each holding at least ``_MIN_HITS``
+    outputs of both runs, the empirical ratio
     P(out in box | datasets) / P(out in box | datasets_alt) must not exceed
     exp(eps) beyond three binomial standard errors (both directions checked).
     """
@@ -409,7 +394,7 @@ def micro_dp_check(
     passed = True
     tested = 0
     e_eps = math.exp(eps)
-    for _ in range(n_boxes):
+    for _ in range(_N_BOXES):
         n_active = int(box_rng.integers(1, min(3, n_coord) + 1))
         coords = box_rng.choice(n_coord, size=n_active, replace=False)
         mask_a = np.ones(trials, dtype=bool)
@@ -425,7 +410,7 @@ def micro_dp_check(
             mask_b &= (obs_b[:, cidx] >= lo) & (obs_b[:, cidx] <= hi)
         hits_a = int(mask_a.sum())
         hits_b = int(mask_b.sum())
-        if min(hits_a, hits_b) < min_hits:
+        if min(hits_a, hits_b) < _MIN_HITS:
             continue
         tested += 1
         p_a = hits_a / trials

@@ -216,19 +216,13 @@ class DominanceReport:
         return self.checked == 0 or self.pass_rate >= 0.99
 
 
-def dominance_check(
-    model: RecursionModel,
-    v_mean: np.ndarray,
-    v_se: np.ndarray,
-    n_runs: int,
-    z: float = 3.0,
-) -> DominanceReport:
+def dominance_check(model: RecursionModel, v_mean: np.ndarray, v_se: np.ndarray, n_runs: int) -> DominanceReport:
     """Compare ensemble estimates of E V_k against the recursion, with slack.
 
     ``v_mean``/``v_se`` are (T, 3) arrays for consecutive iterations starting
     at k = 0; transition k -> k+1 passes when
 
-      mean_{k+1, p} <= (A mean_k + u_k)_p + z * sqrt(se_{k+1,p}^2 + sum_q (A_pq se_{k,q})^2).
+      mean_{k+1, p} <= (A mean_k + u_k)_p + 3 * sqrt(se_{k+1,p}^2 + sum_q (A_pq se_{k,q})^2).
 
     The recursion is an exact-expectation statement, so only statistically
     explainable violations are tolerated.
@@ -244,7 +238,7 @@ def dominance_check(
     worst = math.inf
     for k in range(n_trans):
         rhs = model.A @ v_mean[k] + model.u[k]
-        slack = z * np.sqrt(v_se[k + 1] ** 2 + (model.A**2) @ (v_se[k] ** 2))
+        slack = 3.0 * np.sqrt(v_se[k + 1] ** 2 + (model.A**2) @ (v_se[k] ** 2))
         margin = rhs + slack - v_mean[k + 1]
         for p in range(3):
             checked += 1

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dpgt.engine import compact_step, initialize, rates_at, run_ensemble, step
+from dpgt.engine import compact_step, initialize, rates_at, run_ensemble, run_horizons, step
 from dpgt.engine import run as engine_run
 from dpgt.experiments import fit_rate, suboptimal_horizon
 from dpgt.graphs import build_graph_pair, check_connectivity, spectral_constants
@@ -238,11 +238,9 @@ def test_05_polynomial_rate(quad_instance):
         jac=lambda x: obj.global_gradient_rows(x[None])[0], tol=1e-14,
     ).x
     x0 = np.tile(x_hat + 0.776 * np.ones(10) / math.sqrt(10), (5, 1))
-    finals = []
     horizons = (250, 500, 1000, 2000)
-    for K in horizons:
-        ens = run_ensemble(gp, scheme, obj, K, seeds=range(31000, 31300), x0=x0, sc=sc)
-        finals.append(float(ens.mean_final_grad.max()))
+    ensembles = run_horizons(gp, scheme, obj, horizons, seeds=range(31000, 31300), x0=x0, sc=sc)
+    finals = [float(ens.mean_final_grad.max()) for ens in ensembles]
     slope = float(np.polyfit(np.log([K + 1 for K in horizons]), np.log(finals), 1)[0])
     elapsed = time.time() - t0
     ok = abs(slope - predicted) <= 0.3 * abs(predicted) and elapsed < 1800
@@ -398,10 +396,8 @@ def test_11_oracle_complexity(quad_instance):
     gp, sc, obj = quad_instance
     scheme = admissible_s2(sc, obj.L1_smooth, obj.mu, frac=0.98, p_m=1.002, p_noise=0.93)
     assert validate_s2(scheme, sc, obj.L1_smooth, obj.mu).overall
-    finals = {}
-    for K in (150, 200, 250, 300):
-        ens = run_ensemble(gp, scheme, obj, K, seeds=range(7000, 7030), sc=sc)
-        finals[K] = ens.mean_final_grad
+    ensembles = run_horizons(gp, scheme, obj, (150, 200, 250, 300), seeds=range(7000, 7030), sc=sc)
+    finals = {ens.K: ens.mean_final_grad for ens in ensembles}
     res = suboptimal_horizon(finals, phi=0.02, scheme=scheme)
     elapsed = time.time() - t0
     ok = res.reached and 10**1.5 <= res.oracle_count <= 10**3

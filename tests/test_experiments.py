@@ -11,13 +11,13 @@ from dpgt.experiments import (
     ExperimentConfig,
     FitError,
     ValidatorFailure,
-    auto_adjacency_constant,
     fit_rate,
     run_experiment,
     run_sweep,
     suboptimal_horizon,
 )
 from dpgt.objectives import generate_quadratic_datasets, make_quadratic
+from dpgt.privacy import swap_bound
 from dpgt.schemes import S1Params, S2Params
 
 
@@ -95,7 +95,7 @@ class TestAutoAdjacency:
         ds = generate_quadratic_datasets(3, 30, seed=2)
         obj = make_quadratic(np.eye(4), np.ones(4), 3, ds)
         worst = max(np.abs(d.samples). max() for d in ds)
-        assert auto_adjacency_constant(obj) == pytest.approx(3.0 * 2.0 * worst)
+        assert swap_bound(obj, obj.datasets) == pytest.approx(3.0 * 2.0 * worst)
 
 
 @pytest.fixture()

@@ -8,6 +8,7 @@ import pytest
 
 from dpgt import engine, graphs
 from dpgt.graphs import (
+    DEFAULT_MAX_N,
     ConnectivityError,
     DegenerateGraphError,
     DimensionMismatchError,
@@ -151,7 +152,7 @@ class TestSpectrum:
 
     def test_size_cap(self):
         with pytest.raises(GraphValidationError):
-            spectrum(np.eye(10), max_n=5)
+            spectrum(np.eye(DEFAULT_MAX_N + 1))
 
 
 class TestSumCap:

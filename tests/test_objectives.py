@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dpgt import objectives
 from dpgt.objectives import (
     DatasetError,
     RankDeficientError,
@@ -263,6 +265,31 @@ class TestLeadingBatchAxes:
         assert got.shape == lead
         for i in np.ndindex(*lead):
             assert same_bits(got[i], np.float64(family.global_value(x[i]))), i
+
+    @pytest.mark.parametrize("lead", [(7,), (60, 5)])
+    def test_logistic_lane_blocks_keep_the_bits(self, monkeypatch, lead):
+        obj = make_logistic(2, generate_logistic_datasets(2, 20, dim=3, seed=4))
+        x, rows = lane_points(obj, lead), lane_points(obj, lead + (4,), seed=5)
+        one_block = obj.global_value(x), obj.global_gradient_rows(rows)
+        monkeypatch.setattr(objectives, "_LANE_BLOCK_BYTES", 8 * 20 * 3)  # blocks of 3 lanes
+        blocked = obj.global_value(x), obj.global_gradient_rows(rows)
+        assert same_bits(blocked[0], one_block[0]) and same_bits(blocked[1], one_block[1])
+
+    def test_logistic_peak_memory_is_bounded_by_the_block_cap(self):
+        # A metrics pass of 40 seeds x 5 agents at D = 2e4 per agent: one (200, D) array is
+        # 32 MB, and a single block peaked at about 61 MiB.
+        obj = make_logistic(2, generate_logistic_datasets(2, 20_000, dim=10, seed=0))
+        x = np.random.default_rng(0).normal(0.0, 1.0, (40, 5, 10))
+        cap = objectives._LANE_BLOCK_BYTES
+        assert 200 * 20_000 * 8 > 3 * cap
+        for evaluate in (obj.global_value, obj.global_gradient_rows):
+            tracemalloc.start()
+            try:
+                evaluate(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * cap, (evaluate.__name__, peak)
 
     def test_the_trap_lane_needs_libm_pow(self):
         v = pow_trap()
