@@ -173,8 +173,9 @@ _BUDGET_BLOCK = 4096
 def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetReport:
     """Cumulative budget eps_i from a sensitivity trace over the same horizon.
 
-    A zero noise scale facing a nonzero sensitivity yields an infinite budget
-    entry (reported, not raised).  Budgets are exactly linear in 1/scale.
+    A zero noise scale facing a nonzero sensitivity, or a quotient, increment
+    or sum beyond the float range, yields an infinite budget entry (reported,
+    not raised).  Budgets are exactly linear in 1/scale.
     The finiteness verdict, which does not depend on K, is left to the
     report's first ``finiteness`` access, so a scan over horizons that never
     reads it never computes it.
@@ -188,16 +189,17 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
     # Blocks of k bound the temporaries; whole-row ones at K = 1e5 raised
     # the peak resident set of a budget run by about 2%.
     width = max(1, _BUDGET_BLOCK // n)
-    for k0 in range(0, K + 1, width):
-        block = slice(k0, k0 + width)
-        for sens, scale in zip((trace.dx[:, block], trace.dy[:, block]), rates.sigma_rows(range(K + 1)[block])):
-            no_noise = ~(scale > 0.0)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k0 in range(0, K + 1, width):
+            block = slice(k0, k0 + width)
+            for sens, scale in zip((trace.dx[:, block], trace.dy[:, block]), rates.sigma_rows(range(K + 1)[block])):
+                no_noise = ~(scale > 0.0)
                 np.divide(sens, scale, out=scale)
-            scale[no_noise] = math.inf
-            scale[sens == 0.0] = 0.0
-            inc[:, block] += scale  # 0.0 + zeta term + eta term
-    return BudgetReport(K=K, eps=inc.sum(axis=1), increments=inc, scheme=scheme, gp=trace.gp)
+                scale[no_noise] = math.inf
+                scale[sens == 0.0] = 0.0
+                inc[:, block] += scale  # 0.0 + zeta term + eta term
+        eps = inc.sum(axis=1)
+    return BudgetReport(K=K, eps=eps, increments=inc, scheme=scheme, gp=trace.gp)
 
 
 # ---------------------------------------------------------------------------

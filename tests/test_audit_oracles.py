@@ -83,7 +83,7 @@ def loop_budget(dx, dy, scheme, K):
     sigma = SCHEME_SIGMA[type(scheme)]
     n = dx.shape[0]
     inc = np.zeros((n, K + 1))
-    # An overflowing quotient is inf, as in epsilon's own divide.
+    # An overflowing quotient or sum is inf, as in epsilon's own.
     with np.errstate(over="ignore"):
         for i in range(n):
             for k in range(K + 1):
@@ -94,7 +94,7 @@ def loop_budget(dx, dy, scheme, K):
                         continue
                     total += sens / scale if scale > 0.0 else math.inf
                 inc[i, k] = total
-    return inc, inc.sum(axis=1)
+        return inc, inc.sum(axis=1)
 
 
 def same_bits(a, b) -> bool:
@@ -235,6 +235,24 @@ class TestAccountantOracle:
             assert np.isnan(dx[0]).any() and np.isinf(inc[0]).any()
         else:
             assert not dy.any() and not inc.any()
+
+    @pytest.mark.parametrize("p_zeta, p_eta, gamma, K, inf_increments", [
+        (5e-309, 1.5e-308, 1.0, 1, 1),
+        (1.0, 0.1, 1e-3, 305, 0),
+    ])
+    def test_budgets_beyond_the_float_range_are_inf(self, p_zeta, p_eta, gamma, K, inf_increments):
+        # One agent with q_x = q_y = 1 and m = 2.  At K = 1, dx = (0, 0.5) and dy = (0.5, 1.5):
+        # each of the last step's two terms is 1e308, and their sum overflows.  At K = 305
+        # every increment is finite, below 3.1e307, and the row sum overflows.
+        gp = build_graph_pair(np.zeros((1, 1)), np.zeros((1, 1)))
+        scheme = S2Params(alpha=1.0, beta=1.0, gamma=gamma, p_m=1.0, p_zeta=(p_zeta,), p_eta=(p_eta,))
+        tr = sensitivity_trace(gp, scheme, 1.0, K)
+        dx, dy = rolling_sensitivity(gp, scheme, 1.0, K)
+        assert same_bits(tr.dx, dx) and same_bits(tr.dy, dy)
+        inc, eps = loop_budget(dx, dy, scheme, K)
+        budget = epsilon(tr, scheme, K)
+        assert same_bits(budget.increments, inc) and same_bits(budget.eps, eps)
+        assert budget.eps[0] == math.inf and np.isinf(inc).sum() == inf_increments
 
     def test_budget_across_blocks(self):
         # A horizon spanning several blocks of epsilon's per-block loop.
