@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze-graph, gen-data, validate-scheme, run, privacy-budget,
-bound-check, sweep.  Ensembles choose serial or forked-process execution
-themselves, from their estimated size and the available cores (see
-``engine.run_ensemble``).  The exit status is 0 on success; 1 when
-validate-scheme finds an inequality violated, or when run or sweep meets a
-scheme that fails validation without ``"force": true``; 2 when an input is
-rejected (a ``ValueError``) or the eigensolver fails on a graph pair
+bound-check, sweep.  Every ensemble is a sweep of the engine's one driver
+(``engine.run_ensemble``, ``engine.run_horizons``), which runs it serially or
+on forked processes from its estimated size and the available cores.  The
+exit status is 0 on success; 1 when validate-scheme finds an inequality
+violated, or when run or sweep meets a scheme that fails validation without
+``"force": true``; 2 when an input is rejected (a ``ValueError``, such as
+``bound-check --runs 0``) or the eigensolver fails on a graph pair
 (``graphs.EigensolverError``); 3 when a run diverges; and 4 when a file cannot
 be read or written.  A failure prints one line on stderr,
 ``dpgt <command>: <message>``; a divergence names the seed, agent, iteration
@@ -139,6 +140,8 @@ def _cmd_privacy_budget(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
+    if args.runs is not None and args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     config = ExperimentConfig.from_file(args.config)
     gp = configio.graph_from_dict(configio.load_json(config.graph_file))
     scheme = configio.scheme_from_dict(configio.load_json(config.scheme_file))
@@ -148,7 +151,7 @@ def _cmd_bound_check(args) -> int:
     sc = spectral_constants(gp)
     K = max(config.horizons)
     seeds = config.seed_list()
-    if args.runs:  # that many seeds from the config's first
+    if args.runs is not None:  # that many seeds from the config's first
         seeds = [seeds[0] + r for r in range(args.runs)]
     model = build_model(sc, scheme, ObjectiveConstants.of(obj), K, obj.dim)
     contraction = contraction_check(model)

@@ -37,16 +37,14 @@ no key names the horizon, so the runs of one seed at several horizons share
 x_0, every index permutation (a horizon's m-sample is a prefix of it) and
 every Laplace block up to its scale.  A chunk draws each of these once per
 seed and hands it to every group.  A one-seed :func:`run` is a chunk of one
-lane.  :func:`run_ensemble` has two paths through that loop.  A small
-ensemble runs seed after seed through :func:`run`; the benchmark self-test
-counts the calls of that path.  A large one runs in forked worker processes,
-one contiguous block of seeds each, and advances each block's seeds together
-in chunks, with one gradient pass per group and one metrics pass
-per step for the whole chunk.  :func:`run_horizons` runs a large sweep of
-horizons the same way, every horizon's lanes in one chunk.  The bits are the
-same every way.  Errors come from the serial loops alone: if any chunk
-raises, the ensemble runs again seed after seed, and the sweep horizon after
-horizon, and that loop raises the error.
+lane.  Every ensemble is a sweep of one or more horizons through one driver,
+``_sweep``, which :func:`run_ensemble` and :func:`run_horizons` call.  A sweep
+with a large horizon runs in forked worker processes, one contiguous block of
+seeds each, and advances a block's seeds together in chunks, every horizon's
+lanes in one chunk, with one gradient pass per group and one metrics pass per
+step.  A small one runs seed after seed through :func:`run`, as the benchmark
+self-test counts; so, once, does a sweep with a refused horizon or a failing
+chunk, and that loop alone raises errors.  The bits are the same every way.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ _KEY_ROLE_BITS = 8
 _KEY_ITER_BITS = 40
 
 # Serial cost of one agent's step: a fixed part, and the O(D) index shuffle
-# per sample of its dataset (2-core x86 host, n=5, d=10).  run_ensemble forks
+# per sample of its dataset (2-core x86 host, n=5, d=10).  An ensemble forks
 # workers and batches seeds when the estimated serial time of the ensemble
 # reaches _POOL_MIN_S, well above the 8-18 ms that starting two workers costs.
 _AGENT_STEP_S = 30e-6
@@ -702,43 +700,58 @@ def _merge(K: int, seeds: list[int], trajectories: list[Trajectory]) -> Ensemble
 
 def _sweep(
     gp: GraphPair,
+    scheme: SchemeParams,
     obj: Objective,
-    rates: list[Rates],
+    horizons: list[int],
     seeds: list[int],
     x0: np.ndarray | None,
-    sc: SpectralConstants,
-) -> list[EnsembleResult] | None:
-    """The ensemble of ``seeds`` under each schedule of ``rates``, or None if any chunk raised.
+    sc: SpectralConstants | None,
+    noise_off: bool,
+):
+    """Each horizon's ensemble of ``seeds`` in turn, merged in seed order.
 
-    Every distinct horizon's lanes advance together in each chunk.  The
-    seeds run on forked workers, one contiguous block each (see
-    :func:`_workers`), or serially, and a block stops at its first failing
-    chunk.  The caller then reruns its serial loop, which raises the error.
+    A sweep with a large horizon (see :func:`_large`) is computed before its
+    first result: each worker's block of seeds (see :func:`_workers`)
+    advances in chunks whose per-sample gradients fit in ``_CHUNK_BYTES``,
+    every distinct horizon's lanes together, and stops at its first failing
+    chunk.  A small sweep, a refused horizon or a failing chunk runs the
+    seeds through :func:`run` instead, horizon after horizon, once; that
+    loop raises the lowest failing seed's error after the earlier results.
     """
-    distinct = tuple(sorted({r.K: r for r in rates}.values(), key=lambda r: -r.K))
-    size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * sum(r.m_int for r in distinct)))
+    if sc is None:
+        sc = spectral_constants(gp)
+    rates = {}
+    if any(_large(obj, K, len(seeds)) for K in horizons):
+        try:
+            rates = {K: _checked_rates(gp, scheme, obj, K, noise_off) for K in horizons}
+        except ValueError:  # a refused horizon: the loop below raises its error in turn
+            pass
+    if rates:
+        groups = tuple(sorted(rates.values(), key=lambda r: -r.K))
+        size = max(1, _CHUNK_BYTES // (8 * gp.n * obj.dim * sum(r.m_int for r in groups)))
 
-    def run_block(block: list[int]) -> list[list[Trajectory]] | None:
-        """Per group, the runs of a block in seed order, or None at the first failing chunk."""
-        done = [[] for _ in distinct]
-        for start in range(0, len(block), size):
-            try:
-                new = _run_chunk(gp, distinct, obj, block[start:start + size], x0, sc)
-            except Exception:
-                return None
-            for runs, more in zip(done, new):
-                runs += more
-        return done
+        def run_block(block: list[int]) -> list[list[list[Trajectory]]] | None:
+            """Each chunk's runs per group, in seed order, or None at the first failing chunk."""
+            chunks = []
+            for start in range(0, len(block), size):
+                try:
+                    chunks.append(_run_chunk(gp, groups, obj, block[start:start + size], x0, sc))
+                except Exception:
+                    return None
+            return chunks
 
-    w = _workers(len(seeds))
-    if w > 1:
-        results = _run_forked(run_block, [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)])
-    else:
-        results = [run_block(seeds)]
-    if None in results:
-        return None
-    by_K = {r.K: _merge(r.K, seeds, [t for result in results for t in result[g]]) for g, r in enumerate(distinct)}
-    return [by_K[r.K] for r in rates]
+        w = _workers(len(seeds))
+        if w > 1:
+            results = _run_forked(run_block, [seeds[i * len(seeds) // w:(i + 1) * len(seeds) // w] for i in range(w)])
+        else:
+            results = [run_block(seeds)]
+        if None not in results:
+            runs = [[t for chunks in results for chunk in chunks for t in chunk[g]] for g in range(len(groups))]
+            by_K = {r.K: _merge(r.K, seeds, runs[g]) for g, r in enumerate(groups)}
+            yield from (by_K[K] for K in horizons)
+            return
+    for K in horizons:
+        yield _merge(K, seeds, [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds])
 
 
 def run_ensemble(
@@ -751,35 +764,18 @@ def run_ensemble(
     sc: SpectralConstants | None = None,
     noise_off: bool = False,
 ) -> EnsembleResult:
-    """Independent runs over a seed list, merged in seed order.
+    """Independent runs over a seed list, merged in seed order: the one-horizon case of ``_sweep``.
 
-    A small ensemble (see :func:`_large`) runs seed after seed through
-    :func:`run`: batching gains little there, and the benchmark self-test
-    counts the calls of that path on its short shapes.  A large ensemble is
-    first tried as a sweep of one horizon: it runs on forked worker
-    processes, one per available core up to one per seed, each running one
-    contiguous block of seeds; it runs serially on one core, where ``fork``
-    is unavailable, while other threads are alive, or inside a daemonic
-    process.  Either way a block advances its seeds together, in chunks
-    whose per-sample gradients fit in ``_CHUNK_BYTES``, with one gradient
-    pass and one metrics pass per step for the chunk.
-
-    Every run is pure with keyed RNG streams, and every array operation acts
-    on each seed as on one seed's arrays, so results are identical batched or
-    per seed, pooled or serially.  If any chunk raises, the ensemble runs
-    again seed after seed, and that loop raises the lowest failing seed's
-    error.  A forked worker that dies raises ``RuntimeError``.
+    Results are identical batched or per seed, pooled or serially: a small
+    ensemble (see :func:`_large`) runs seed after seed through :func:`run`,
+    a large one in chunks, on forked workers where cores allow.  A failing
+    ensemble raises its lowest failing seed's error, and a forked worker
+    that dies raises ``RuntimeError``.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
-    if sc is None:
-        sc = spectral_constants(gp)
-    if _large(obj, K, len(seeds)):
-        swept = _sweep(gp, obj, [_checked_rates(gp, scheme, obj, K, noise_off)], seeds, x0, sc)
-        if swept is not None:
-            return swept[0]
-    return _merge(K, seeds, [run(gp, scheme, obj, K, s, x0=x0, sc=sc, noise_off=noise_off) for s in seeds])
+    return next(_sweep(gp, scheme, obj, [K], seeds, x0, sc, noise_off))
 
 
 def run_horizons(
@@ -798,23 +794,12 @@ def run_horizons(
     per horizon, for horizons in any order, repeated or not: a horizon's
     error is raised after the earlier horizons' results.  A sweep with no
     large horizon (see :func:`_large`) does call it per horizon, as the
-    benchmark self-test counts.  Any other is first tried in one
-    :func:`_sweep`, computed before its first result; if a horizon is
-    refused or a chunk raises, every horizon runs through :func:`run_ensemble`
-    in turn, and that loop raises the error.
+    benchmark self-test counts; any other is one :func:`_sweep`.
     """
     horizons = [int(K) for K in horizons]
     seeds = [int(s) for s in seeds]
     if seeds and any(_large(obj, K, len(seeds)) for K in horizons):
-        if sc is None:
-            sc = spectral_constants(gp)
-        try:
-            rates = [_checked_rates(gp, scheme, obj, K, noise_off) for K in horizons]
-        except ValueError:  # a refused horizon: the loop below raises its error in turn
-            rates = None
-        swept = None if rates is None else _sweep(gp, obj, rates, seeds, x0, sc)
-        if swept is not None:
-            yield from swept
-            return
-    for K in horizons:
-        yield run_ensemble(gp, scheme, obj, K, seeds, x0=x0, sc=sc, noise_off=noise_off)
+        yield from _sweep(gp, scheme, obj, horizons, seeds, x0, sc, noise_off)
+    else:
+        for K in horizons:
+            yield run_ensemble(gp, scheme, obj, K, seeds, x0=x0, sc=sc, noise_off=noise_off)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,12 +147,18 @@ class ExperimentConfig:
     seeds: tuple[int, ...] | None = None  # explicit list overrides seed+runs
 
     def __post_init__(self):
+        integers = {"horizons": self.horizons, "seeds": self.seeds or (), "runs": (self.runs,), "seed": (self.seed,)}
+        for key, values in integers.items():
+            for v in values:
+                if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                    raise ValueError(f"config: {key} takes integers only, got {v!r}")
         if self.seeds is None and (self.runs is None or self.seed is None):
             raise ValueError("config: give an explicit seeds list, or both runs and seed")
         if self.runs is not None and self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if list(self.horizons) != sorted(self.horizons) or min(self.horizons) < 0:
-            raise ValueError("horizons must be nonnegative and ascending")
+        h = self.horizons
+        if not h or h[0] < 0 or any(a >= b for a, b in zip(h, h[1:])):
+            raise ValueError(f"config: horizons must be nonempty, nonnegative and strictly ascending, got {list(h)}")
 
     def seed_list(self) -> list[int]:
         if self.seeds is not None:
@@ -163,21 +170,25 @@ class ExperimentConfig:
         """Load a run config; a wrong schema_version, an unknown key or a missing one is an error.
 
         ``seeds`` and the pair ``runs``/``seed`` are alternatives: without
-        ``seeds``, both of the pair are required.
+        ``seeds``, both of the pair are required.  Those keys and ``horizons``
+        take JSON integers only, and the horizons must ascend strictly.
         """
         doc = configio.load_json(path)
         seed_keys = ("seeds",) if "seeds" in doc else _CONFIG_SEED_KEYS
         configio.check_document(
             doc, "config", _CONFIG_REQUIRED_KEYS + seed_keys, _CONFIG_OPTIONAL_KEYS + ("seeds", *_CONFIG_SEED_KEYS)
         )
+        for key in ("horizons", "seeds"):
+            if key in doc and not isinstance(doc[key], list):
+                raise ValueError(f"config: {key} must be a list of integers, got {doc[key]!r}")
         base = Path(path).parent
         return ExperimentConfig(
             graph_file=str(base / doc["graph"]),
             scheme_file=str(base / doc["scheme"]),
             objective_file=str(base / doc["objective"]),
-            horizons=tuple(int(k) for k in doc["horizons"]),
-            runs=int(doc["runs"]) if "runs" in doc else None,
-            seed=int(doc["seed"]) if "seed" in doc else None,
+            horizons=tuple(doc["horizons"]),
+            runs=doc.get("runs"),
+            seed=doc.get("seed"),
             output_dir=str(base / doc["output_dir"]),
             phi=doc.get("phi"),
             baseline=bool(doc.get("baseline", False)),

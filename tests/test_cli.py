@@ -250,6 +250,13 @@ class TestCli:
         assert doc["dominance_checked"] > 0
         assert 0.0 <= doc["dominance_pass_rate"] <= 1.0
 
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_bound_check_with_fewer_than_one_run_exits_2(self, workdir, capsys, runs):
+        assert main(["bound-check", "--config", str(workdir / "config.json"), "--runs", str(runs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgt bound-check: --runs must be at least 1, got {runs}\n"
+
     def test_sweep(self, workdir, capsys):
         code, doc = run_cli(
             capsys, "sweep", "--config", str(workdir / "config.json"),

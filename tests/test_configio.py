@@ -140,6 +140,32 @@ class TestMissingKeys:
             ExperimentConfig(runs=2, seed=None, **fields)
 
 
+class TestRunConfigIntegers:
+    """Each integer key of a run config takes JSON integers only, by name; horizons are strictly ascending."""
+
+    RUN_CONFIG = {
+        "graph": "g.json", "scheme": "s.json", "objective": "o.json", "horizons": [1, 4], "runs": 2, "seed": 0,
+        "output_dir": "out",
+    }
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seeds": [1.5, 2.7]}, "seeds takes integers only, got 1.5"),
+        ({"runs": 2.9}, "runs takes integers only, got 2.9"),
+        ({"horizons": [2.5, 4]}, "horizons takes integers only, got 2.5"),
+        ({"seeds": [True, 2]}, "seeds takes integers only, got True"),
+        ({"horizons": [3, 3]}, r"horizons must be nonempty, nonnegative and strictly ascending, got \[3, 3\]"),
+        ({"horizons": []}, r"horizons must be nonempty, nonnegative and strictly ascending, got \[\]"),
+        ({"runs": True}, "runs takes integers only, got True"),
+        ({"seed": 2.0}, "seed takes integers only, got 2.0"),
+        ({"horizons": 4}, "horizons must be a list of integers, got 4"),
+    ], ids=["float-seeds", "float-runs", "float-horizon", "bool-seed", "repeated-horizon", "no-horizon",
+            "bool-runs", "float-seed", "scalar-horizons"])
+    def test_bad_value_is_rejected_by_key(self, tmp_path, change, message):
+        configio.dump_json(dict(self.RUN_CONFIG, **change), tmp_path / "config.json")
+        with pytest.raises(ValueError, match=f"^config: {message}$"):
+            ExperimentConfig.from_file(tmp_path / "config.json")
+
+
 class TestWrittenDocumentsLoad:
     def test_graph_round_trip(self):
         gp = build_graph_pair(np.array([[0.0, 0.5], [0.7, 0.0]]), np.array([[0.0, 0.2], [0.3, 0.0]]))

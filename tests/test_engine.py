@@ -1202,7 +1202,8 @@ class TestHorizonSweep:
         with pytest.raises(ConfigError) as swept:
             next(sweep)
         assert str(swept.value) == str(alone.value)
-        assert batches == [[0, 1, 2, 3]] * 2  # one chunk per horizon for K 8 and 3; K 5, after the refusal, never runs
+        # The refusal leaves no sweep: K 8 and 3 run seed after seed, and K 5, after the refusal, never runs.
+        assert batches == [[s] for s in range(4)] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wrong_shape_x0_raises_the_per_horizon_error(self, monkeypatch, workers):
@@ -1236,6 +1237,34 @@ class TestHorizonSweep:
             getattr(per_horizon.value, a) for a in DIVERGENCE_FIELDS
         ]
         assert str(swept.value) == str(per_horizon.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_sweep_falls_back_once_to_one_lane_chunks(self, monkeypatch, tmp_path, workers):
+        # The sweep's chunks diverge, so every horizon runs seed after seed,
+        # K = 0 to its result and K = 30 to seed 12's error; no horizon is
+        # swept again.
+        gp, obj = five_node_pair(), quad_objective()
+        seeds = [12, 13, 14, 15]
+        pool_on(monkeypatch, cores=workers)
+        forks = spy_forks(monkeypatch)
+        chunks = tmp_path / "chunks"
+        real = engine._run_chunk
+
+        def spy(gp, groups, obj, seeds, x0, sc):
+            log_seed(chunks, f"{'-'.join(str(r.K) for r in groups)}:{','.join(map(str, seeds))}")
+            return real(gp, groups, obj, seeds, x0, sc)
+
+        monkeypatch.setattr(engine, "_run_chunk", spy)
+        sweep = run_horizons(gp, s2(gamma=100.0), obj, [0, 30, 60], seeds)
+        assert next(sweep).K == 0
+        with pytest.raises(DivergenceError) as swept:
+            next(sweep)
+        assert swept.value.seed == 12
+        blocks = [seeds] if workers == 1 else [seeds[:2], seeds[2:]]
+        assert forks == ([] if workers == 1 else [blocks])
+        log = chunks.read_text().split()
+        assert sorted(log[:len(blocks)]) == [f"60-30-0:{','.join(map(str, b))}" for b in blocks]
+        assert log[len(blocks):] == ["0:12", "0:13", "0:14", "0:15", "30:12"]
 
 
 def spy_grad_batch(monkeypatch, obj) -> list:
