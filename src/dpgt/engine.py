@@ -35,8 +35,8 @@ seeds and arrays of shape (G·S, n, d), and every array operation acts on each
 lane as it acts on one seed's arrays.  The G groups of S lanes are horizons:
 no key names the horizon, so the runs of one seed at several horizons share
 x_0, every index permutation (a horizon's m-sample is a prefix of it) and
-every Laplace block up to its scale.  A chunk draws each of these once per
-seed and hands it to every group.  A one-seed :func:`run` is a chunk of one
+every Laplace block up to its scale, which :func:`noise` alone applies.
+Chunks draw each once per seed for all groups; a :func:`run` is a chunk of one
 lane.  Every ensemble is a sweep of one or more horizons through one driver,
 ``_sweep``, which :func:`run_ensemble` and :func:`run_horizons` call.  A sweep
 with a large horizon runs in forked worker processes, one contiguous block of
@@ -188,13 +188,9 @@ def keyed_generator(seeds, agent: int, k: int, role: int, draw) -> list:
     return out
 
 
-def laplace_vector(seeds, agent: int, k: int, role: int, d: int, scale: float) -> np.ndarray:
-    """Keyed d-dimensional Laplace blocks, one row per seed: (S, d); scale 0 is the exact no-noise baseline."""
-    if scale < 0:
-        raise ValueError("Laplace scale must be nonnegative")
-    if scale == 0.0:
-        return np.zeros((len(seeds), d))
-    return np.array(keyed_generator(seeds, agent, k, role, lambda gen: gen.laplace(0.0, scale, d)))
+def laplace_vector(seeds, agent: int, k: int, role: int, d: int) -> np.ndarray:
+    """Keyed d-dimensional unit-scale Laplace blocks, one row per seed: (S, d); :func:`noise` scales them."""
+    return np.array(keyed_generator(seeds, agent, k, role, lambda gen: gen.laplace(0.0, 1.0, d)))
 
 
 def sample_indices(seeds, agent: int, k: int, D: int, m: int) -> np.ndarray:
@@ -225,24 +221,26 @@ class EngineState:
 
 
 def noise(seeds, rates: tuple[Rates, ...], k: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keyed Laplace blocks (zeta, eta), each (G·S, n, d), for iteration k.
+    """Keyed Laplace blocks (zeta, eta), each (G·S, n, d), for iteration k <= every group's K.
 
-    Each agent's block of a role is drawn once per seed, at unit scale, and
-    every group's lanes take it times their own scale, in one broadcast
-    product.  NumPy draws a Laplace variate as ``0.0 ± scale·log(u)``, so
-    ``s·laplace(0, 1) + 0.0`` is ``laplace(0, s)`` bit for bit: the product
-    is the same, and adding 0.0 gives a product that underflows to -0.0 the
-    sign of ``0.0 ± ...``.  Noise is drawn for every agent whenever one of
-    its scales is nonzero, whether or not anyone listens, so streams stay
-    aligned across topologies; an agent whose scales are all zero draws
-    nothing, and a lane whose scale is zero stays exactly +0.0.
+    The one place a scale meets a draw: each agent's block of a role is drawn
+    once per seed, at unit scale, and every group's lanes take it times their
+    ``Rates.sigma`` entry, in one broadcast product.  NumPy draws a Laplace
+    variate as ``0.0 ± scale·log(u)``, so ``s·laplace(0, 1) + 0.0`` is
+    ``laplace(0, s)`` bit for bit: the product is the same, and adding 0.0
+    gives a product that underflows to -0.0 the sign of ``0.0 ± ...``.
+    Noise is drawn for every agent whenever one of its scales is nonzero, so
+    streams stay aligned across topologies; an agent whose scales are all
+    zero draws nothing, and a lane whose scale is zero stays exactly +0.0.
     """
+    if any(k > r.K for r in rates):
+        raise ConfigError(f"iteration {k} is past the horizon K={min(r.K for r in rates)}")
+    sigma = np.array([r.sigma[:, :, k] for r in rates]).swapaxes(0, 1)  # (2, G, n)
     blocks = []
-    for role, scales in zip((ROLE_ZETA, ROLE_ETA), zip(*(r.sigma_cols(k) for r in rates))):
-        scales = np.array(scales)  # (G, n)
+    for role, scales in zip((ROLE_ZETA, ROLE_ETA), sigma):
         unit = np.zeros((len(seeds), n, d))
         for i in np.flatnonzero((scales > 0.0).any(axis=0)).tolist():
-            unit[:, i] = laplace_vector(seeds, i, k, role, d, 1.0)
+            unit[:, i] = laplace_vector(seeds, i, k, role, d)
         blocks.append((unit * scales[:, None, :, None] + 0.0).reshape(-1, n, d))
     return tuple(blocks)
 
@@ -793,11 +791,13 @@ def run_horizons(
     Results, errors and their order are those of :func:`run_ensemble` called
     per horizon, for horizons in any order, repeated or not: a horizon's
     error is raised after the earlier horizons' results.  A sweep with no
-    large horizon (see :func:`_large`) does call it per horizon, as the
-    benchmark self-test counts; any other is one :func:`_sweep`.
+    large horizon (see :func:`_large`) calls it per horizon with one ``sc``,
+    as the benchmark self-test counts; any other is one :func:`_sweep`.
     """
     horizons = [int(K) for K in horizons]
     seeds = [int(s) for s in seeds]
+    if sc is None:
+        sc = spectral_constants(gp)
     if seeds and any(_large(obj, K, len(seeds)) for K in horizons):
         yield from _sweep(gp, scheme, obj, horizons, seeds, x0, sc, noise_off)
     else:

@@ -143,7 +143,7 @@ class ExperimentConfig:
     phi: float | None = None
     baseline: bool = False
     force: bool = False
-    adjacency_C: float | str = "auto"
+    adjacency_C: str = "auto"  # C is always the closed-form swap bound
     seeds: tuple[int, ...] | None = None  # explicit list overrides seed+runs
 
     def __post_init__(self):
@@ -156,6 +156,10 @@ class ExperimentConfig:
             raise ValueError("config: give an explicit seeds list, or both runs and seed")
         if self.runs is not None and self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seeds is not None and not self.seeds:
+            raise ValueError("config: seeds must be a nonempty list, got []")
+        if self.adjacency_C != "auto":
+            raise ValueError(f"config: adjacency_C takes \"auto\" (the swap bound) only, got {self.adjacency_C!r}")
         h = self.horizons
         if not h or h[0] < 0 or any(a >= b for a, b in zip(h, h[1:])):
             raise ValueError(f"config: horizons must be nonempty, nonnegative and strictly ascending, got {list(h)}")
@@ -269,9 +273,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "horizons": {},
     }
 
-    C = config.adjacency_C
-    C = swap_bound(obj, obj.datasets) if C == "auto" else float(C)
-    summary["adjacency_C"] = C
+    C = summary["adjacency_C"] = swap_bound(obj, obj.datasets)
 
     final_by_K: dict[int, np.ndarray] = {}
     for ens in run_horizons(gp, scheme, obj, config.horizons, summary["seeds"], sc=sc, noise_off=config.baseline):

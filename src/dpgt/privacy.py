@@ -370,12 +370,10 @@ def micro_dp_check(
         y = g
         obs = np.empty((trials, 2 * (K + 1)))
         for k in range(K + 1):
-            zeta = np.empty((trials, n, 1))
-            eta = np.empty((trials, n, 1))
-            scales_zeta, scales_eta = rates.sigma_cols(k)
+            zeta, eta = np.empty((2, trials, n, 1))
             for i in range(n):
-                zeta[:, i, 0] = rng.laplace(0.0, scales_zeta[i], size=trials)
-                eta[:, i, 0] = rng.laplace(0.0, scales_eta[i], size=trials)
+                zeta[:, i, 0] = rng.laplace(0.0, rates.sigma[0, i, k], size=trials)
+                eta[:, i, 0] = rng.laplace(0.0, rates.sigma[1, i, k], size=trials)
             xb, yb = x + zeta, y + eta
             obs[:, 2 * k] = xb[:, agent, 0]
             obs[:, 2 * k + 1] = yb[:, agent, 0]

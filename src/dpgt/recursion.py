@@ -126,8 +126,8 @@ def build_model(
 
     u = np.empty((K + 1, 3))
     eta_cum = 0.0  # sum over l < k of max_i sigma_eta(i, l)^2
-    for k in range(K + 1):
-        z2, e2 = (float(max(scales)) ** 2 for scales in rates.sigma_cols(k))
+    for k, (z, e) in enumerate(rates.sigma.max(axis=1).T.tolist()):  # max_i sigma_zeta(i, k), max_i sigma_eta(i, k)
+        z2, e2 = z**2, e**2
         u[k, 0] = (
             2.0 * n * d * rhoR2 * a**2 * z2
             + 2.0 * (1.0 + ra) * nv2**2 * c**2 * sg2 * inv_m / (n**2 * ra)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import ClassVar, Union
 
@@ -122,7 +123,8 @@ class Rates:
     """Realized schedule at one horizon K.
 
     Noise scale of agent i at iteration k: c[r][i] * (k+1)**q[r][i], for the
-    state role r = 0 (zeta) and the tracking role r = 1 (eta).
+    state role r = 0 (zeta) and the tracking role r = 1 (eta), evaluated by
+    :meth:`sigma_rows` alone (the engine reads its table :attr:`sigma`).
     """
 
     K: int
@@ -134,16 +136,8 @@ class Rates:
     q: tuple[tuple[float, ...], tuple[float, ...]]
     noise_off: bool = False
 
-    def sigma_cols(self, k: int) -> tuple[list[float], list[float]]:
-        """Every agent's sigma_zeta and sigma_eta at iteration k."""
-        if self.noise_off:
-            return [0.0] * len(self.c[0]), [0.0] * len(self.c[1])
-        base = k + 1.0
-        zeta, eta = ([ci * base**qi for ci, qi in zip(c, q)] for c, q in zip(self.c, self.q))
-        return zeta, eta
-
     def sigma_rows(self, ks: range) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's entries of :meth:`sigma_cols` for k in a step-1 range, bit for bit: two (n, len(ks)) arrays.
+        """Every agent's sigma_zeta and sigma_eta for k in a step-1 range: two (n, len(ks)) arrays.
 
         Powers stay Python floats, since ``np.power`` can differ from ``**``
         in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.  Each
@@ -159,8 +153,12 @@ class Rates:
             q: np.ones(width) if q == 0.0 else np.fromiter(map(pow, map(float, bases), repeat(q)), float, width)
             for q in set(chain(*self.q))
         }
-        zeta, eta = (np.array(c)[:, None] * np.array([powers[qi] for qi in q]) for c, q in zip(self.c, self.q))
-        return zeta, eta
+        return tuple(np.array(c)[:, None] * np.array([powers[qi] for qi in q]) for c, q in zip(self.c, self.q))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Every scale of the horizon, ``sigma[r, i, k]`` for k = 0..K: (2, n, K+1), from :meth:`sigma_rows`."""
+        return np.stack(self.sigma_rows(range(self.K + 1)))
 
     @property
     def m_int(self) -> int:

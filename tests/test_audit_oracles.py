@@ -224,7 +224,7 @@ class TestAccountantOracle:
         # p_m = 1e300, m is infinite and every bound is 0.
         gp = build_graph_pair(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [4.0, 0.0]]))
         scheme = S2Params(alpha=1.0, beta=1.0, gamma=0.5, p_m=p_m, p_zeta=(1e-200, 0.9), p_eta=(0.9, 0.9))
-        assert rates_at(scheme, K).sigma_cols(0)[0][0] == 0.0
+        assert rates_at(scheme, K).sigma[0, 0, 0] == 0.0
         tr = sensitivity_trace(gp, scheme, 1.0, K)
         dx, dy = rolling_sensitivity(gp, scheme, 1.0, K)
         assert same_bits(tr.dx, dx) and same_bits(tr.dy, dy)

@@ -141,7 +141,7 @@ class TestMissingKeys:
 
 
 class TestRunConfigIntegers:
-    """Each integer key of a run config takes JSON integers only, by name; horizons are strictly ascending."""
+    """Each integer key of a run config takes JSON integers only, by name; horizons ascend, seeds are nonempty."""
 
     RUN_CONFIG = {
         "graph": "g.json", "scheme": "s.json", "objective": "o.json", "horizons": [1, 4], "runs": 2, "seed": 0,
@@ -158,12 +158,25 @@ class TestRunConfigIntegers:
         ({"runs": True}, "runs takes integers only, got True"),
         ({"seed": 2.0}, "seed takes integers only, got 2.0"),
         ({"horizons": 4}, "horizons must be a list of integers, got 4"),
+        ({"seeds": []}, r"seeds must be a nonempty list, got \[\]"),
     ], ids=["float-seeds", "float-runs", "float-horizon", "bool-seed", "repeated-horizon", "no-horizon",
-            "bool-runs", "float-seed", "scalar-horizons"])
+            "bool-runs", "float-seed", "scalar-horizons", "no-seeds"])
     def test_bad_value_is_rejected_by_key(self, tmp_path, change, message):
         configio.dump_json(dict(self.RUN_CONFIG, **change), tmp_path / "config.json")
         with pytest.raises(ValueError, match=f"^config: {message}$"):
             ExperimentConfig.from_file(tmp_path / "config.json")
+
+    def test_adjacency_constant_is_always_the_swap_bound(self, tmp_path, capsys):
+        # "auto" loads; any other C is rejected by key name, and run exits 2 before it starts.
+        path = tmp_path / "config.json"
+        configio.dump_json(dict(self.RUN_CONFIG, adjacency_C="auto"), path)
+        assert ExperimentConfig.from_file(path).adjacency_C == "auto"
+        configio.dump_json(dict(self.RUN_CONFIG, adjacency_C=0.001), path)
+        with pytest.raises(ValueError, match=r'^config: adjacency_C takes "auto" \(the swap bound\) only, got 0.001$'):
+            ExperimentConfig.from_file(path)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("dpgt run: config: adjacency_C takes")
+        assert not (tmp_path / "out").exists()
 
 
 class TestWrittenDocumentsLoad:

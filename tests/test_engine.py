@@ -36,6 +36,7 @@ from dpgt.objectives import (
     make_quadratic,
     make_trig,
 )
+from dpgt.privacy import epsilon, sensitivity_trace
 from dpgt.schemes import Rates, S1Params, S2Params, rates_at
 
 
@@ -87,11 +88,6 @@ def one(seed, agent, k, role, draw):
 
 def laplace4(gen):
     return gen.laplace(0, 1, 4)
-
-
-class TestLaplace:
-    def test_zero_scale_vector_is_exact_zero(self):
-        assert np.array_equal(laplace_vector([1], 0, 0, 1, 8, 0.0), np.zeros((1, 8)))
 
 
 class TestKeyedStreams:
@@ -218,7 +214,7 @@ class TestPerturb:
         rates = rates_at(s2(p_zeta=(0.9,) * 5, p_eta=(0.9,) * 5), 3)
         st = initialize(gp, (rates,), obj, seeds=[1])
         _, n, d = st.x.shape
-        smax2 = max(rates.sigma_cols(0)[0]) ** 2
+        smax2 = (0.9**3) ** 2  # sigma = p**K under S2
         powers = []
         for rep in range(4000):
             st2 = dataclasses.replace(st, seeds=(rep,))
@@ -237,6 +233,36 @@ class TestPerturb:
         xb1, yb1 = perturb(st, (rates,), 2)
         xb2, yb2 = perturb(st, (rates,), 2)
         assert np.array_equal(xb1, xb2) and np.array_equal(yb1, yb2)
+
+
+class TestNoiseScales:
+    """``noise`` draws at exactly the scales ``epsilon`` divides by: one table, ``Rates.sigma``."""
+
+    @pytest.mark.parametrize("variant", ["S1", "S2", "noise_off"])
+    def test_blocks_are_unit_blocks_times_the_budget_divisor(self, variant):
+        gp, K, d, seeds = five_node_pair(), 6, 3, [2, 2**64 + 1]
+        if variant == "S1":
+            scheme = s1(p_zeta=(0.1, -0.3, 0.0, 0.4, 0.1), p_eta=(0.2, 0.2, -0.1, 0.0, 0.3))
+        else:
+            scheme = s2(p_zeta=(0.93, 0.5, 0.93, 0.8, 0.99), p_eta=(0.7,) * 5)
+        rates = dataclasses.replace(rates_at(scheme, K), noise_off=variant == "noise_off")
+        for k in range(K + 1):
+            for r, block in enumerate(noise(seeds, (rates,), k, gp.n, d)):
+                for i in range(gp.n):
+                    want = laplace_vector(seeds, i, k, engine.ROLE_ZETA + r, d) * rates.sigma[r, i, k] + 0.0
+                    assert block[:, i].tobytes() == want.tobytes(), (k, r, i)
+        sigma = rates_at(scheme, K).sigma
+        trace = sensitivity_trace(gp, scheme, 1.0, K)
+        want = np.zeros((gp.n, K + 1)) + trace.dx / sigma[0] + trace.dy / sigma[1]
+        assert epsilon(trace, scheme, K).increments.tobytes() == want.tobytes()
+
+    def test_iteration_past_the_horizon_raises(self):
+        rates = rates_at(s2(), 4)
+        noise([1], (rates,), 4, 5, 2)  # the horizon's last iteration
+        with pytest.raises(ConfigError, match="iteration 5 is past the horizon K=4"):
+            noise([1], (rates,), 5, 5, 2)
+        with pytest.raises(ConfigError, match="past the horizon"):
+            noise([1], (rates_at(s2(), 9), rates), 5, 5, 2)  # one group past its horizon
 
 
 class TestStep:
@@ -895,10 +921,10 @@ class TestBatchedEnsemble:
                 assert np.asarray(g[s]).tobytes() == np.asarray(w, dtype=float).tobytes()
 
 
-def fixed_scales(zeta, eta) -> Rates:
-    """A schedule whose noise scales are zeta and eta at every iteration: exponent 0, factor the scale."""
+def fixed_scales(zeta, eta, K: int) -> Rates:
+    """A horizon-K schedule whose noise scales are zeta and eta at every iteration: exponent 0, factor the scale."""
     flat = (0.0,) * len(zeta)
-    return Rates(K=0, alpha=0.0, beta=0.0, gamma=0.0, m=1.0, c=(zeta, eta), q=(flat, flat))
+    return Rates(K=K, alpha=0.0, beta=0.0, gamma=0.0, m=1.0, c=(zeta, eta), q=(flat, flat))
 
 
 lane_seeds = hst.lists(
@@ -924,6 +950,8 @@ def leave_partial_state(before: str) -> None:
 
 lane_agents = hst.one_of(hst.just(2**16 - 1), hst.integers(0, 2**16 - 1))
 lane_ks = hst.one_of(hst.just(2**40 - 1), hst.integers(0, 2**40 - 1))
+# Iterations of a noise call, which reads its scales from a table of k = 0..K.
+noise_ks = hst.integers(0, 40)
 lane_befores = hst.sampled_from(["nothing", "partial buffer", "spare uint32"])
 
 
@@ -943,13 +971,12 @@ class TestLaneDraws:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        seeds=lane_seeds, agent=lane_agents, k=lane_ks, d=hst.sampled_from([1, 10]), scale=lane_scales,
-        before=lane_befores,
+        seeds=lane_seeds, agent=lane_agents, k=lane_ks, d=hst.sampled_from([1, 10]), before=lane_befores,
     )
-    def test_laplace_vector_lanes_equal_one_lane_calls(self, seeds, agent, k, d, scale, before):
-        want = np.concatenate([laplace_vector([s], agent, k, engine.ROLE_ETA, d, scale) for s in seeds])
+    def test_laplace_vector_lanes_equal_one_lane_calls(self, seeds, agent, k, d, before):
+        want = np.concatenate([laplace_vector([s], agent, k, engine.ROLE_ETA, d) for s in seeds])
         leave_partial_state(before)
-        got = laplace_vector(seeds, agent, k, engine.ROLE_ETA, d, scale)
+        got = laplace_vector(seeds, agent, k, engine.ROLE_ETA, d)
         assert got.shape == (len(seeds), d) and got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
@@ -976,14 +1003,14 @@ class TestLaneDraws:
     @settings(max_examples=150, deadline=None)
     @given(
         seeds=lane_seeds,
-        k=lane_ks,
+        k=noise_ks,
         d=hst.sampled_from([1, 10]),
         scales=hst.lists(hst.tuples(lane_scales, lane_scales), min_size=1, max_size=3),
         before=lane_befores,
     )
     def test_noise_lanes_equal_one_lane_calls(self, seeds, k, d, scales, before):
         n = len(scales)
-        rates = fixed_scales(*zip(*scales))
+        rates = fixed_scales(*zip(*scales), K=k)
         want = [np.concatenate(blocks) for blocks in zip(*(noise([s], (rates,), k, n, d) for s in seeds))]
         leave_partial_state(before)
         got = noise(seeds, (rates,), k, n, d)
@@ -1058,14 +1085,19 @@ def assert_same_bits(got, want) -> None:
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
+def scaled_laplace(seeds, agent, k, role, d, scale) -> np.ndarray:
+    """Keyed Laplace blocks drawn at ``scale`` itself, (S, d): the reference of a scaled unit block."""
+    return np.array(keyed_generator(seeds, agent, k, role, lambda gen: gen.laplace(0, scale, d)))
+
+
 def per_group_noise(seeds, groups, k, n, d) -> tuple[np.ndarray, np.ndarray]:
-    """Each group's blocks drawn at its own scales, one keyed draw per positive scale: the reference of ``noise``."""
+    """Each group's blocks at its scales c (k+1)**q, one keyed draw per positive scale: the reference of ``noise``."""
     zeta, eta = np.zeros((2, len(groups), len(seeds), n, d))
     for g, r in enumerate(groups):
-        for role, scales, block in zip((engine.ROLE_ZETA, engine.ROLE_ETA), r.sigma_cols(k), (zeta, eta)):
-            for i, scale in enumerate(scales):
+        for role, c, q, block in zip((engine.ROLE_ZETA, engine.ROLE_ETA), r.c, r.q, (zeta, eta)):
+            for i, scale in enumerate(ci * (k + 1.0) ** qi for ci, qi in zip(c, q)):
                 if scale > 0.0:
-                    block[g, :, i] = laplace_vector(seeds, i, k, role, d, scale)
+                    block[g, :, i] = scaled_laplace(seeds, i, k, role, d, scale)
     return zeta.reshape(-1, n, d), eta.reshape(-1, n, d)
 
 
@@ -1135,20 +1167,20 @@ class TestHorizonSweep:
         scale=hst.one_of(lane_scales, hst.floats(1e-300, 1e300)),
     )
     def test_laplace_blocks_are_linear_in_scale(self, seeds, agent, k, d, scale):
-        want = laplace_vector(seeds, agent, k, engine.ROLE_ZETA, d, scale)
-        got = laplace_vector(seeds, agent, k, engine.ROLE_ZETA, d, 1.0) * scale + 0.0
+        want = scaled_laplace(seeds, agent, k, engine.ROLE_ZETA, d, scale)
+        got = laplace_vector(seeds, agent, k, engine.ROLE_ZETA, d) * scale + 0.0
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
-        seeds=lane_seeds, k=lane_ks, d=hst.sampled_from([1, 10]),
+        seeds=lane_seeds, k=noise_ks, d=hst.sampled_from([1, 10]),
         scales=hst.lists(
             hst.lists(hst.tuples(lane_scales, lane_scales), min_size=3, max_size=3), min_size=1, max_size=3,
         ),
     )
     def test_noise_groups_equal_draws_at_each_groups_scales(self, seeds, k, d, scales):
         # Three agents; per group, each agent's (zeta, eta) scale, zero and subnormal ones included.
-        groups = tuple(fixed_scales(*zip(*group)) for group in scales)
+        groups = tuple(fixed_scales(*zip(*group), K=k) for group in scales)
         got = noise(seeds, groups, k, 3, d)
         for g, w in zip(got, per_group_noise(seeds, groups, k, 3, d), strict=True):
             assert g.shape == (len(groups) * len(seeds), 3, d) and g.tobytes() == w.tobytes()
@@ -1163,6 +1195,25 @@ class TestHorizonSweep:
         m_large = data.draw(hst.integers(m_small, D))
         want = sample_indices(seeds, agent, k, D, m_small)
         assert sample_indices(seeds, agent, k, D, m_large)[:, :m_small].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("large", [False, True])
+    def test_sweep_computes_spectral_constants_once(self, monkeypatch, large):
+        # Without sc, a small sweep calls run_ensemble per horizon and a large
+        # one runs one chunk: either way the pair's constants are computed once.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        if large:
+            monkeypatch.setattr(engine, "_POOL_MIN_S", 0.0)
+        calls = []
+        real = engine.spectral_constants
+
+        def spy(gp):
+            calls.append(gp)
+            return real(gp)
+
+        monkeypatch.setattr(engine, "spectral_constants", spy)
+        gp = five_node_pair()
+        assert [ens.K for ens in run_horizons(gp, s2(), quad_objective(), [2, 3, 4], [1, 2])] == [2, 3, 4]
+        assert calls == [gp]
 
     def test_self_test_sized_sweep_calls_run_ensemble_per_horizon(self, monkeypatch):
         # The benchmark self-test's closed forms count run_ensemble, run and
@@ -1310,19 +1361,19 @@ class TestGradBatchCalls:
         assert calls == [((obj.dim,), (m, 1))] * gp.n * (K + 2)
 
     @settings(max_examples=150, deadline=None)
-    @given(seeds=lane_seeds, k=lane_ks, n=hst.integers(1, 4), d=hst.sampled_from([1, 3]), data=hst.data())
+    @given(seeds=lane_seeds, k=noise_ks, n=hst.integers(1, 4), d=hst.sampled_from([1, 3]), data=hst.data())
     def test_noise_equals_per_group_reference_drawing_each_live_block_once(self, seeds, k, n, d, data):
         G = data.draw(hst.integers(1, 4))
         groups = tuple(
-            fixed_scales(*(tuple(data.draw(hst.lists(noise_scales, min_size=n, max_size=n))) for _ in "ze"))
+            fixed_scales(*(tuple(data.draw(hst.lists(noise_scales, min_size=n, max_size=n))) for _ in "ze"), K=k)
             for _ in range(G)
         )
         draws = []
         real = engine.laplace_vector
 
-        def spy(seeds, agent, k, role, d, scale):
-            draws.append((agent, role, scale))
-            return real(seeds, agent, k, role, d, scale)
+        def spy(seeds, agent, k, role, d):
+            draws.append((agent, role))
+            return real(seeds, agent, k, role, d)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "laplace_vector", spy)
@@ -1330,7 +1381,7 @@ class TestGradBatchCalls:
         for g, w in zip(got, per_group_noise(seeds, groups, k, n, d), strict=True):
             assert g.shape == (G * len(seeds), n, d) and g.tobytes() == w.tobytes()
         live = [
-            (i, role, 1.0)
+            (i, role)
             for role, col in ((engine.ROLE_ZETA, 0), (engine.ROLE_ETA, 1))
             for i in range(n) if any(r.c[col][i] > 0.0 for r in groups)
         ]

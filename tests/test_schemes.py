@@ -81,13 +81,15 @@ class TestRates:
 
     def test_s1_noise_grows_with_iteration(self):
         r = rates_at(s1_reference(p_noise=0.2), 100)
-        assert r.sigma_cols(50)[0][0] == 51.0**0.2
+        assert r.sigma[0, 0, 50] == 51.0**0.2
+        assert r.sigma[0, 0, 100] > r.sigma[0, 0, 50] > r.sigma[0, 0, 0] == 1.0
 
     def test_s2_noise_constant_in_iteration(self):
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.1, p_zeta=(0.9,), p_eta=(0.8,))
         r = rates_at(p, 40)
-        assert r.sigma_cols(0)[0] == r.sigma_cols(39)[0] == [0.9**40]
-        assert r.sigma_cols(13)[1] == [0.8**40]
+        assert r.sigma.shape == (2, 1, 41)
+        assert r.sigma[0, 0, 0] == r.sigma[0, 0, 39] == 0.9**40
+        assert r.sigma[1, 0, 13] == 0.8**40
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -98,6 +100,8 @@ class TestRates:
         noise_off=hst.booleans(),
     )
     def test_sigma_rows_equal_per_k_scales(self, kind, p, k0, length, noise_off):
+        # The reference is c * (k+1)**q per agent, one Python float at a time,
+        # and Rates.sigma is every row of the horizon.
         if kind == "S1":
             params = s1_reference(p_zeta=(0.1, p[0]), p_eta=(0.1, p[1]))
         else:
@@ -106,8 +110,12 @@ class TestRates:
         rates = dataclasses.replace(rates_at(params, 50), noise_off=noise_off)
         ks = range(k0, k0 + length)
         for role, got in enumerate(rates.sigma_rows(ks)):
-            want = np.array([rates.sigma_cols(k)[role] for k in ks], dtype=float).reshape(length, 2).T
+            want = np.array(
+                [[0.0 if noise_off else c * (k + 1.0) ** q for k in ks] for c, q in zip(rates.c[role], rates.q[role])],
+                dtype=float,
+            ).reshape(2, length)
             assert got.shape == (2, length) and got.tobytes() == want.tobytes()
+        assert rates.sigma.tobytes() == np.stack(rates.sigma_rows(range(51))).tobytes()
 
     def test_geometric_overflow_guard(self):
         p = S2Params(alpha=0.1, beta=0.1, gamma=0.01, p_m=1.5, p_zeta=(0.9,), p_eta=(0.9,))
