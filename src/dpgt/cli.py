@@ -124,8 +124,8 @@ def _cmd_privacy_budget(args) -> int:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k"] + [f"agent{i}" for i in range(gp.n)])
-            for k in range(args.K + 1):
-                writer.writerow([k] + [f"{report.increments[i, k]:.12g}" for i in range(gp.n)])
+            for ks, block in report.increment_blocks():
+                writer.writerows([k] + [f"{v:.12g}" for v in column] for k, column in zip(ks, block.T.tolist()))
     _print_json(
         {
             "K": args.K,

@@ -155,7 +155,7 @@ class ExperimentConfig:
         if self.seeds is None and (self.runs is None or self.seed is None):
             raise ValueError("config: give an explicit seeds list, or both runs and seed")
         if self.runs is not None and self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ValueError(f"config: runs must be >= 1, got {self.runs}")
         if self.seeds is not None and not self.seeds:
             raise ValueError("config: seeds must be a nonempty list, got []")
         if self.adjacency_C != "auto":

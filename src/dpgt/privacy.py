@@ -22,6 +22,13 @@ where a term with zero sensitivity is 0 and a nonzero sensitivity facing a
 zero noise scale is inf.  Each increment is 0.0 + zeta term + eta term, and
 every term is one float division, so a budget is exactly linear in 1/scale.
 
+The accountant's memory is O(n x block) at any K.  A trace keeps each
+distinct damping pair's recursion and yields its rows block by block;
+``epsilon`` divides each block by the matching ``Rates.sigma_rows`` block and
+adds each agent's increments in NumPy's pairwise order, so ``eps`` is
+``increments.sum(axis=1)`` bit for bit (a test pins this against NumPy).  The
+(n, K+1) rows and increments are built only when a caller reads them.
+
 Budgets here are always computed from these closed-form bounds.  The coupled
 two-run simulator and the small-instance likelihood-ratio test below exist
 only to check that realized differences never exceed the bounds and that the
@@ -35,14 +42,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat, tee
 
 import numpy as np
 
 from .engine import DivergenceError, draw_indices, draw_x0, noise, sampled_gradients, update
 from .graphs import GraphPair
 from .objectives import Dataset, Objective
-from .schemes import SchemeParams, ValidationReport, check_agent_count, check_budget_finiteness, rates_at
+from .schemes import Rates, SchemeParams, ValidationReport, check_agent_count, check_budget_finiteness, rates_at
 
 __all__ = [
     "AdjacencyError",
@@ -92,68 +99,177 @@ def adjacency_constant(obj: Objective, ds: Dataset, ds_alt: Dataset) -> float:
     return swap_bound(obj, (ds, ds_alt))
 
 
+#: Entries of each (n, width) array that the accountant holds at once: a block
+#: of the trace or the budget spans about _BUDGET_BLOCK // n iterations, so its
+#: memory does not grow with K.
+_BUDGET_BLOCK = 1 << 14
+
+#: NumPy's pairwise summation adds a contiguous span of at most this many values
+#: without splitting it (``PW_BLOCKSIZE`` in its source).
+_PAIRWISE_LEAF = 128
+
+
+def _half(length: int) -> int:
+    """Where NumPy's pairwise summation splits a longer span: half, rounded down to a multiple of 8."""
+    return length // 2 - length // 2 % 8
+
+
+def _spans(start: int, length: int, width: int):
+    """The blocks of ``range(start, start + length)``, in order, for a width of at least ``_PAIRWISE_LEAF``.
+
+    They are the nodes of NumPy's pairwise-summation tree that fit ``width``:
+    a node's ``.sum`` adds its values in the order that the whole row's does.
+    """
+    if length <= width:
+        yield range(start, start + length)
+    else:
+        half = _half(length)
+        yield from _spans(start, half, width)
+        yield from _spans(start + half, length - half, width)
+
+
+def _pairwise_sum(sums, length: int, width: int) -> np.ndarray:
+    """The row sums of an (n, length) table from its :func:`_spans` blocks' row sums, taken in order.
+
+    Each pair of nodes is added as NumPy adds them, so the result is the
+    table's ``.sum(axis=1)`` bit for bit.  Each block's ``.sum`` starts from
+    0.0, where the row's starts once; that differs only for a sum of -0.0,
+    and no budget increment is negative.
+    """
+    if length <= width:
+        return next(sums)
+    half = _half(length)
+    return _pairwise_sum(sums, half, width) + _pairwise_sum(sums, length - half, width)
+
+
+def _block_width(n: int) -> int:
+    """The widest block of n agents' rows."""
+    return max(_PAIRWISE_LEAF, _BUDGET_BLOCK // n)
+
+
 @dataclass(frozen=True)
 class SensitivityTrace:
-    """Per-agent l1 shift bounds dx[k], dy[k] for k = 0..K at one horizon."""
+    """Per-agent l1 shift bounds dx[k], dy[k] for k = 0..K at one horizon.
+
+    The trace holds each distinct damping pair's recursion, not its rows:
+    :meth:`blocks` yields the rows block by block, and :attr:`dx` and
+    :attr:`dy` are built, together, when first read.
+    """
 
     K: int
     C: float
     m: float
-    dx: np.ndarray  # (n, K+1)
-    dy: np.ndarray  # (n, K+1)
     gp: GraphPair
+    gamma: float
+    damping: tuple[tuple[float, float], ...]  # each distinct (q_y, q_x), in order of first agent
+    agent_runs: tuple[int, ...]  # agent i's index into damping
 
+    def blocks(self):
+        """(ks, dx, dy) per block of k = 0..K, in order, with dx and dy (n, len(ks)).
 
-def _rows(n: int, K: int, rows) -> np.ndarray:
-    """(n, K+1) array filled from n iterables of K+1 floats, with no temporary rows."""
-    return np.fromiter(chain.from_iterable(rows), float, n * (K + 1)).reshape(n, K + 1)
+        Each damping pair's recursion is one ``itertools.accumulate`` run over
+        every block, so a block carries on from the one before, with the same
+        float operations in the same order as a per-k update of both rows.
+        Agents with equal pairs get copies of one run.
+        """
+        inv_m = 0.0 if not math.isfinite(self.m) else 1.0 / self.m
+        C, gamma = self.C, self.gamma
+        ys, xs = [], []
+        for q_y, q_x in self.damping:
+            dy, lagged = tee(accumulate(repeat(2.0 * C * inv_m), lambda y, u, q=q_y: q * y + u, initial=C * inv_m))
+            ys.append(dy)
+            xs.append(accumulate(lagged, lambda x, v, q=q_x: q * x + gamma * v, initial=0.0))
+        runs, copies = len(self.damping), list(self.agent_runs)
+        for ks in _spans(0, self.K + 1, _block_width(self.gp.n)):
+            w = len(ks)
+            dy, dx = (
+                np.fromiter(chain.from_iterable(islice(it, w) for it in rows), float, runs * w).reshape(runs, w)
+                for rows in (ys, xs)
+            )
+            if runs < len(copies):
+                dx, dy = dx[copies], dy[copies]
+            yield ks, dx, dy
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = np.empty((2, self.gp.n, self.K + 1))
+        for ks, dx, dy in self.blocks():
+            table[:, :, ks.start:ks.stop] = dx, dy
+        return table
+
+    @property
+    def dx(self) -> np.ndarray:
+        """(n, K+1), built with :attr:`dy` on first access."""
+        return self._table[0]
+
+    @property
+    def dy(self) -> np.ndarray:
+        """(n, K+1), built with :attr:`dx` on first access."""
+        return self._table[1]
 
 
 def sensitivity_trace(gp: GraphPair, scheme: SchemeParams, C: float, K: int) -> SensitivityTrace:
-    """The sensitivity recursions, once per distinct damping pair (q_y, q_x).
+    """The sensitivity recursions of a horizon-K run, once per distinct damping pair (q_y, q_x).
 
-    Each row is a first-order recursion run by ``itertools.accumulate``
-    straight into the array, with the same float operations in the same
-    order as a per-k update of both rows.  An agent's rows depend only on
-    its damping pair, so agents with equal pairs get copies of one run.
+    An agent's rows depend only on its damping pair.  Nothing of length K is
+    computed here: the rows are streamed by :meth:`SensitivityTrace.blocks`.
     """
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"adjacency constant C must be finite and positive, got {C!r}")
     check_agent_count(scheme, gp.n)
     rates = rates_at(scheme, K)
-    n = gp.n
-    inv_m = 0.0 if not math.isfinite(rates.m) else 1.0 / rates.m
     q_x = np.abs(1.0 - rates.alpha * gp.row_sums_R).tolist()
     q_y = np.abs(1.0 - rates.beta * gp.col_sums_C).tolist()
-    gamma = rates.gamma
     pairs = list(zip(q_y, q_x))
     runs = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}  # each distinct pair's run
-    dy = _rows(len(runs), K, (
-        accumulate(repeat(2.0 * C * inv_m, K), lambda y, u, q=q: q * y + u, initial=C * inv_m)
-        for q, _ in runs
-    ))
-    # A memoryview of a row yields Python floats, with no list of K of them.
-    dx = _rows(len(runs), K, (
-        accumulate(row[:-1].data, lambda x, v, q=q: q * x + gamma * v, initial=0.0)
-        for (_, q), row in zip(runs, dy)
-    ))
-    if len(runs) < n:
-        agent_runs = [runs[pair] for pair in pairs]
-        dx, dy = dx[agent_runs], dy[agent_runs]
-    return SensitivityTrace(K=K, C=C, m=rates.m, dx=dx, dy=dy, gp=gp)
+    return SensitivityTrace(
+        K=K, C=C, m=rates.m, gp=gp, gamma=rates.gamma, damping=tuple(runs), agent_runs=tuple(runs[p] for p in pairs),
+    )
+
+
+def _increment_blocks(trace: SensitivityTrace, rates: Rates):
+    """(ks, increments) per block of k = 0..K, increments (n, len(ks)): 0.0 + zeta term + eta term."""
+    for ks, dx, dy in trace.blocks():
+        inc = np.zeros(dx.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for sens, scale in zip((dx, dy), rates.sigma_rows(ks)):
+                no_noise = ~(scale > 0.0)
+                np.divide(sens, scale, out=scale)
+                scale[no_noise] = math.inf
+                scale[sens == 0.0] = 0.0
+                inc += scale
+        yield ks, inc
 
 
 @dataclass(frozen=True)
 class BudgetReport:
+    """Per-agent budgets of one horizon, with the trace and the schedule they came from."""
+
     K: int
     eps: np.ndarray  # (n,)
-    increments: np.ndarray  # (n, K+1)
     scheme: SchemeParams
-    gp: GraphPair
+    trace: SensitivityTrace
+    rates: Rates  # the schedule that epsilon divided by
+
+    @property
+    def gp(self) -> GraphPair:
+        return self.trace.gp
 
     @property
     def eps_max(self) -> float:
         return float(self.eps.max())
+
+    def increment_blocks(self):
+        """(ks, increments) per block of k = 0..K, increments (n, len(ks)), recomputed on each call."""
+        return _increment_blocks(self.trace, self.rates)
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        """Every agent's budget increment at every k: (n, K+1), built on first access."""
+        inc = np.empty((self.gp.n, self.K + 1))
+        for ks, block in self.increment_blocks():
+            inc[:, ks.start:ks.stop] = block
+        return inc
 
     @cached_property
     def finiteness(self) -> ValidationReport:
@@ -165,41 +281,27 @@ class BudgetReport:
         return str(self.finiteness.derived.get("tail_order", ""))
 
 
-#: Budget terms computed per block in :func:`epsilon`: a block holds as many
-#: iterations of every agent as fit.
-_BUDGET_BLOCK = 4096
-
-
 def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetReport:
     """Cumulative budget eps_i from a sensitivity trace over the same horizon.
 
     A zero noise scale facing a nonzero sensitivity, or a quotient, increment
     or sum beyond the float range, yields an infinite budget entry (reported,
     not raised).  Budgets are exactly linear in 1/scale.
-    The finiteness verdict, which does not depend on K, is left to the
-    report's first ``finiteness`` access, so a scan over horizons that never
-    reads it never computes it.
+    The trace's rows and the increments are streamed in blocks whose memory
+    does not grow with K, and each agent's increments are added in NumPy's
+    pairwise order, so ``eps`` is ``increments.sum(axis=1)`` bit for bit.
+    The increments table and the finiteness verdict, which does not depend
+    on K, are left to the report's first access, so a scan over horizons that
+    never reads them never computes them.
     """
     if trace.K != K:
         raise ValueError(f"trace horizon {trace.K} does not match K={K}")
     check_agent_count(scheme, trace.gp.n)
     rates = rates_at(scheme, K)
-    n = trace.dx.shape[0]
-    inc = np.zeros((n, K + 1))
-    # Blocks of k bound the temporaries; whole-row ones at K = 1e5 raised
-    # the peak resident set of a budget run by about 2%.
-    width = max(1, _BUDGET_BLOCK // n)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k0 in range(0, K + 1, width):
-            block = slice(k0, k0 + width)
-            for sens, scale in zip((trace.dx[:, block], trace.dy[:, block]), rates.sigma_rows(range(K + 1)[block])):
-                no_noise = ~(scale > 0.0)
-                np.divide(sens, scale, out=scale)
-                scale[no_noise] = math.inf
-                scale[sens == 0.0] = 0.0
-                inc[:, block] += scale  # 0.0 + zeta term + eta term
-        eps = inc.sum(axis=1)
-    return BudgetReport(K=K, eps=eps, increments=inc, scheme=scheme, gp=trace.gp)
+    sums = (inc.sum(axis=1) for _, inc in _increment_blocks(trace, rates))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = _pairwise_sum(sums, K + 1, _block_width(trace.gp.n))
+    return BudgetReport(K=K, eps=eps, scheme=scheme, trace=trace, rates=rates)
 
 
 # ---------------------------------------------------------------------------

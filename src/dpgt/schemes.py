@@ -27,6 +27,7 @@ cumulative privacy budget stays finite as K grows without bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -143,17 +144,38 @@ class Rates:
         in the last ulp; ``float(k + 1)`` is ``k + 1.0`` below 2**53.  Each
         distinct exponent's powers are taken once for both roles, and a zero
         exponent's are ones, with no powers to take (x**0.0 == 1.0 and
-        c * 1.0 == c).
+        c * 1.0 == c).  A power beyond the float range is a ``ValueError``
+        naming the role, the agent, the exponent and the first such k.
         """
         n, width = len(self.c[0]), len(ks)
         if self.noise_off:
             return np.zeros((n, width)), np.zeros((n, width))
         bases = range(ks.start + 1, ks.stop + 1)
-        powers = {
-            q: np.ones(width) if q == 0.0 else np.fromiter(map(pow, map(float, bases), repeat(q)), float, width)
-            for q in set(chain(*self.q))
-        }
+        try:
+            powers = {
+                q: np.ones(width) if q == 0.0 else np.fromiter(map(pow, map(float, bases), repeat(q)), float, width)
+                for q in set(chain(*self.q))
+            }
+        except OverflowError:
+            raise ValueError(self._first_overflow(ks)) from None
         return tuple(np.array(c)[:, None] * np.array([powers[qi] for qi in q]) for c, q in zip(self.c, self.q))
+
+    def _first_overflow(self, ks: range) -> str:
+        """The earliest scale in ``ks`` whose power leaves the float range, by k, then role, then agent."""
+        def overflows(k: int, q: float) -> bool:
+            try:
+                pow(float(k + 1), q)
+            except OverflowError:
+                return True
+            return False
+
+        # (k + 1) ** q grows with k for q > 0, so each exponent's first overflow is found by bisection.
+        k, r, i, q = min(
+            (ks[bisect_left(ks, True, key=lambda j: overflows(j, q))], r, i, q)
+            for r, qs in enumerate(self.q) for i, q in enumerate(qs) if overflows(ks[-1], q)
+        )
+        role = ("zeta", "eta")[r]
+        return f"noise scale of agent {i}, role {role}: (k + 1) ** {q!r} leaves the float range from k = {k}"
 
     @cached_property
     def sigma(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -148,6 +149,54 @@ class TestCli:
         assert doc["eps_max"] >= max(doc["eps_per_agent"]) - 1e-12
         lines = (workdir / "inc.csv").read_text().strip().splitlines()
         assert len(lines) == 52
+
+    def test_increments_csv_streamed_over_blocks_equals_the_table(self, workdir, capsys):
+        # A horizon of several blocks: the rows written block by block are the bytes of
+        # the whole table written entry by entry.
+        K = 3 * privacy._block_width(3) + 17
+        out = workdir / "inc.csv"
+        code, doc = run_cli(
+            capsys, "privacy-budget", "--graph", str(workdir / "graph.json"),
+            "--scheme", str(workdir / "scheme.json"), "--K", str(K), "--C", "1.5", "--increments-csv", str(out),
+        )
+        assert code == 0
+        gp = configio.graph_from_dict(configio.load_json(workdir / "graph.json"))
+        scheme = configio.scheme_from_dict(configio.load_json(workdir / "scheme.json"))
+        report = privacy.epsilon(privacy.sensitivity_trace(gp, scheme, 1.5, K), scheme, K)
+        assert doc["eps_per_agent"] == report.eps.tolist()
+        with open(workdir / "table.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k"] + [f"agent{i}" for i in range(gp.n)])
+            for k in range(K + 1):
+                writer.writerow([k] + [f"{report.increments[i, k]:.12g}" for i in range(gp.n)])
+        assert out.read_bytes() == (workdir / "table.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["privacy-budget", "run"])
+    def test_noise_scale_beyond_the_float_range_exits_2(self, workdir, capsys, command):
+        # 35.0 ** 200.0 overflows: the S1 state scale (k + 1) ** 200 of agent 0 leaves the float
+        # range at k = 34, within the budget's K = 1000 and the run's K = 40.
+        configio.dump_json(
+            {
+                "schema_version": 1, "kind": "S1", "a1": 0.05, "a2": 0.05, "a3": 0.01, "a4": 0.0,
+                "p_alpha": 0.987, "p_beta": 0.69, "p_gamma": 0.997, "p_m": 2.0,
+                "p_zeta": [200.0, 0.1, 0.1], "p_eta": [0.1, 0.1, 0.1],
+            },
+            workdir / "scheme.json",
+        )
+        config = configio.load_json(workdir / "config.json")
+        config.update(force=True, runs=2)
+        configio.dump_json(config, workdir / "config.json")
+        argv = {
+            "privacy-budget": ["--graph", str(workdir / "graph.json"), "--scheme", str(workdir / "scheme.json"),
+                               "--K", "1000", "--C", "1.0"],
+            "run": ["--config", str(workdir / "config.json")],
+        }[command]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"dpgt {command}: noise scale of agent 0, role zeta: (k + 1) ** 200.0 leaves the float range from k = 34\n"
+        )
 
     def test_privacy_budget_explicit_constant_scales_linearly(self, workdir, capsys):
         _, doc1 = run_cli(

@@ -159,8 +159,9 @@ class TestRunConfigIntegers:
         ({"seed": 2.0}, "seed takes integers only, got 2.0"),
         ({"horizons": 4}, "horizons must be a list of integers, got 4"),
         ({"seeds": []}, r"seeds must be a nonempty list, got \[\]"),
+        ({"runs": 0}, "runs must be >= 1, got 0"),
     ], ids=["float-seeds", "float-runs", "float-horizon", "bool-seed", "repeated-horizon", "no-horizon",
-            "bool-runs", "float-seed", "scalar-horizons", "no-seeds"])
+            "bool-runs", "float-seed", "scalar-horizons", "no-seeds", "zero-runs"])
     def test_bad_value_is_rejected_by_key(self, tmp_path, change, message):
         configio.dump_json(dict(self.RUN_CONFIG, **change), tmp_path / "config.json")
         with pytest.raises(ValueError, match=f"^config: {message}$"):

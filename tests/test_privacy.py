@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -393,14 +394,21 @@ def per_row_reference(gp, rates, C, K):
 _SUMS = st.sampled_from([0.3, 0.5, 1.0])
 
 
+def ring_pair(row, col):
+    """A ring pair whose row i of R sums to row[i] and whose column i of C sums to col[i]."""
+    n = len(row)
+    R, Cm = np.zeros((2, n, n))
+    for i in range(n):
+        R[i, (i + 1) % n] = row[i]
+        Cm[(i + 1) % n, i] = col[i]
+    return build_graph_pair(R, Cm)
+
+
 @st.composite
 def accountant_case(draw):
     n = draw(st.integers(1, 4))
     row, col = (draw(st.lists(_SUMS, min_size=n, max_size=n)) for _ in range(2))
-    R, Cm = np.zeros((2, n, n))
-    for i in range(n):
-        R[i, (i + 1) % n] = row[i]  # row i of R sums to row[i]
-        Cm[(i + 1) % n, i] = col[i]  # column i of C sums to col[i]
+    gp = ring_pair(row, col)
     if draw(st.booleans()):
         exps = st.sampled_from([0.0, 0.1, 0.5, -0.3])
         scheme = S1Params(
@@ -416,7 +424,7 @@ def accountant_case(draw):
             p_m=1.1, p_zeta=tuple(draw(st.lists(bases, min_size=n, max_size=n))),
             p_eta=tuple(draw(st.lists(bases, min_size=n, max_size=n))),
         )
-    return build_graph_pair(R, Cm), scheme
+    return gp, scheme
 
 
 class TestAccountantAgainstPerRowReference:
@@ -440,6 +448,76 @@ class TestAccountantAgainstPerRowReference:
         assert trace.dy.tobytes() == dy.tobytes()
         assert budget.increments.tobytes() == inc.tobytes()
         assert budget.eps.tobytes() == inc.sum(axis=1).tobytes()
+
+
+def streamed_case(n, case, K):
+    """(gp, scheme, noise_off) for one agent count and case of TestStreamedAccountant."""
+    if case == "overflow":
+        # Agent 0's state scale underflows to 0, so its increments are inf wherever dx > 0; every
+        # tracking scale is about 1e-307, so each tracking term is about 1e307 and the row sums overflow.
+        base = 1e-307 ** (1.0 / K) if K else 0.5
+        scheme = S2Params(
+            alpha=0.1, beta=0.1, gamma=0.05, p_m=1.0, p_zeta=(1e-200,) + (0.9,) * (n - 1), p_eta=(base,) * n,
+        )
+        return ring_pair([0.5] * n, [0.7] * n), scheme, False
+    if case == "distinct":
+        sums = [0.3, 0.5, 1.0, 0.7, 0.9][:n]
+        gp, p_zeta, p_eta = ring_pair(sums, sums[::-1]), (0.1, 0.5, -0.3, 0.0, 0.2)[:n], (0.2, 0.1, 0.0, -0.1, 0.3)[:n]
+    else:  # "shared" and "noise_off": one damping pair and one exponent for every agent
+        gp, p_zeta, p_eta = ring_pair([0.5] * n, [0.5] * n), (0.1,) * n, (0.1,) * n
+    scheme = S1Params(
+        a1=0.4, a2=0.4, a3=1.0, a4=1e-3, p_alpha=0.987, p_beta=0.69, p_gamma=0.997, p_m=2.0,
+        p_zeta=p_zeta, p_eta=p_eta,
+    )
+    return gp, scheme, case == "noise_off"
+
+
+class TestStreamedAccountant:
+    """Rows and budgets streamed in blocks equal the per-row reference, at and across block edges."""
+
+    @pytest.mark.parametrize("n, case", [
+        (1, "shared"), (1, "noise_off"), (1, "overflow"),
+        (2, "shared"), (2, "distinct"), (2, "noise_off"), (2, "overflow"),
+        (5, "shared"), (5, "distinct"), (5, "overflow"),
+    ])
+    def test_blocks_keep_the_bits(self, n, case):
+        # eps is added up NumPy's pairwise tree, which splits a row longer than 128 and, here,
+        # one longer than a block; a change to NumPy's order fails this test.
+        B = privacy._block_width(n)
+        for length in (1, 127, 128, 129, B - 1, B, B + 1, 3 * B + 17, 10**5):
+            K = length - 1
+            gp, scheme, noise_off = streamed_case(n, case, K)
+            rates = dataclasses.replace(rates_at(scheme, K), noise_off=noise_off)
+            with mock.patch.object(privacy, "rates_at", lambda params, K: rates):
+                trace = sensitivity_trace(gp, scheme, 1.5, K)
+                budget = epsilon(trace, scheme, K)
+            dx, dy, inc = per_row_reference(gp, rates, 1.5, K)
+            with np.errstate(over="ignore"):
+                eps = inc.sum(axis=1)
+            assert trace.dx.tobytes() == dx.tobytes() and trace.dy.tobytes() == dy.tobytes(), length
+            assert budget.increments.tobytes() == inc.tobytes(), length
+            assert budget.eps.tobytes() == eps.tobytes(), length
+        if case == "overflow":
+            assert budget.eps[0] == math.inf and np.isinf(inc[0]).any()
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self):
+        # The audit's two-agent S1 budget at K = 2e5, where one (2, K+1) table is 3.2 MB.
+        # Holding every row, the accountant peaked at 9.34 MiB on this instance; the cap is 2 MiB.
+        gp = two_agent_pair(0.87)
+        scheme = S1Params(
+            a1=0.4, a2=0.4, a3=1.0, a4=4e-5, p_alpha=0.987, p_beta=0.69, p_gamma=0.997,
+            p_m=2.0, p_zeta=(0.1,) * 2, p_eta=(0.1,) * 2,
+        )
+        K = 2 * 10**5
+        cap = 16 * 8 * privacy._BUDGET_BLOCK  # sixteen (n, width) float arrays
+        assert 2 * (K + 1) * 8 > cap
+        tracemalloc.start()
+        try:
+            epsilon(sensitivity_trace(gp, scheme, 1.0, K), scheme, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, peak
 
 
 class TestCoupledRuns:
