@@ -17,7 +17,6 @@ and variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -83,9 +82,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_validate_scheme(args) -> int:
-    gp = configio.graph_from_dict(configio.load_json(args.graph))
-    scheme = configio.scheme_from_dict(configio.load_json(args.scheme))
-    obj = configio.objective_from_dict(configio.load_json(args.objective), Path(args.objective).parent)
+    gp, scheme, obj = configio.load_inputs(args.graph, args.scheme, args.objective)
     report = validate(scheme, spectral_constants(gp), obj.L1_smooth, obj.mu)
     _print_json(report.to_dict())
     return 0 if report.overall else 1
@@ -105,27 +102,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_privacy_budget(args) -> int:
-    gp = configio.graph_from_dict(configio.load_json(args.graph))
-    scheme = configio.scheme_from_dict(configio.load_json(args.scheme))
-    if args.C == "auto":
-        if not args.objective:
-            raise SystemExit("--C auto requires --objective")
-        obj = configio.objective_from_dict(
-            configio.load_json(args.objective), Path(args.objective).parent
-        )
-        C = swap_bound(obj, obj.datasets)
-    else:
-        C = float(args.C)
+    auto = args.C == "auto"
+    gp, scheme, obj = configio.load_inputs(args.graph, args.scheme, args.objective if auto and args.objective else None)
+    if auto and obj is None:
+        raise ValueError("--C auto requires --objective")
+    C = swap_bound(obj, obj.datasets) if auto else float(args.C)
     trace = sensitivity_trace(gp, scheme, C, args.K)
     report = epsilon(trace, scheme, args.K)
     if args.increments_csv:
-        path = Path(args.increments_csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + [f"agent{i}" for i in range(gp.n)])
-            for ks, block in report.increment_blocks():
-                writer.writerows([k] + [f"{v:.12g}" for v in column] for k, column in zip(ks, block.T.tolist()))
+        rows = ([k, *column] for ks, block in report.increment_blocks() for k, column in zip(ks, block.T.tolist()))
+        configio.write_csv(args.increments_csv, ["k"] + [f"agent{i}" for i in range(gp.n)], rows)
     _print_json(
         {
             "K": args.K,
@@ -143,11 +129,7 @@ def _cmd_bound_check(args) -> int:
     if args.runs is not None and args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     config = ExperimentConfig.from_file(args.config)
-    gp = configio.graph_from_dict(configio.load_json(config.graph_file))
-    scheme = configio.scheme_from_dict(configio.load_json(config.scheme_file))
-    obj = configio.objective_from_dict(
-        configio.load_json(config.objective_file), Path(config.objective_file).parent
-    )
+    gp, scheme, obj = configio.load_inputs(config.graph_file, config.scheme_file, config.objective_file)
     sc = spectral_constants(gp)
     K = max(config.horizons)
     seeds = config.seed_list()

@@ -1,7 +1,9 @@
-"""Versioned JSON schemas for graphs, schemes, objectives, and run configs."""
+"""Versioned JSON schemas for graphs, schemes, objectives, and run configs;
+the loader of a run's input files and the one CSV writer."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -29,6 +31,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "load_json",
     "dump_json",
+    "write_csv",
+    "load_inputs",
     "file_sha256",
     "check_document",
     "graph_to_dict",
@@ -51,6 +55,15 @@ def dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows``, parents created: float cells as ``.12g``, other cells as they are."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def file_sha256(path) -> str:
@@ -155,3 +168,12 @@ def objective_from_dict(doc: dict, base_dir: Path | None = None) -> Objective:
     if kind == "trig":
         return make_trig(n, datasets)
     return make_logistic(n, datasets)
+
+
+def load_inputs(graph_file, scheme_file, objective_file=None) -> tuple[GraphPair, SchemeParams, Objective | None]:
+    """The graph pair, the scheme and the objective (None without its file), loaded in that order."""
+    gp = graph_from_dict(load_json(graph_file))
+    scheme = scheme_from_dict(load_json(scheme_file))
+    if objective_file is None:
+        return gp, scheme, None
+    return gp, scheme, objective_from_dict(load_json(objective_file), Path(objective_file).parent)

@@ -9,18 +9,18 @@ byte-identical CSVs and a summary that references every input by hash.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import configio
 from .engine import EnsembleResult, run_horizons
-from .graphs import GraphPair, spectral_constants
+from .graphs import spectral_constants
 from .objectives import Objective
 from .privacy import BudgetReport, epsilon, sensitivity_trace, swap_bound
 from .schemes import SchemeParams, check_budget_finiteness, rates_at, validate
@@ -202,36 +202,33 @@ class ExperimentConfig:
         )
 
 
-def write_trace_csv(path, ens: EnsembleResult, eps_increments: np.ndarray | None) -> None:
+def _eps_cum(budget: BudgetReport):
+    """The running sum of each k's largest increment, as one ``np.cumsum`` over the horizon, block by block."""
+    total = 0.0
+    for _, block in budget.increment_blocks():
+        top = block.max(axis=0)
+        top[0] += total
+        cum = np.cumsum(top)
+        total = cum[-1]
+        yield from cum.tolist()
+
+
+def write_trace_csv(path, ens: EnsembleResult, budget: BudgetReport | None) -> None:
     """Mean-trace CSV, one row per post-step iteration k = 1..K+1.
 
-    ``grad_norm_sq`` is the mean over agents; ``eps_cum`` (present only for
-    noisy runs) is the largest per-agent budget spent before reaching state k.
+    ``grad_norm_sq`` is the mean over agents; ``eps_cum`` (only given a noisy
+    run's ``budget``) is the largest per-agent budget spent before reaching
+    state k, streamed from the budget's increment blocks.
     """
-    K = ens.K
-    eps_cum = None
-    if eps_increments is not None:
-        eps_cum = np.cumsum(eps_increments.max(axis=0))
     header = ["k", "agent", "consensus_x", "consensus_y", "grad_norm_sq", "gap", "samples_cum"]
-    if eps_cum is not None:
+    columns = [
+        range(1, ens.K + 2), repeat("mean", ens.K + 1), ens.mean_consensus_x, ens.mean_consensus_y,
+        (row.mean() for row in ens.mean_grad_norm_sq), ens.mean_gap, map(int, ens.samples_cum),
+    ]
+    if budget is not None:
         header.append("eps_cum")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(K + 1):
-            row = [
-                j + 1,
-                "mean",
-                f"{ens.mean_consensus_x[j]:.12g}",
-                f"{ens.mean_consensus_y[j]:.12g}",
-                f"{ens.mean_grad_norm_sq[j].mean():.12g}",
-                f"{ens.mean_gap[j]:.12g}",
-                int(ens.samples_cum[j]),
-            ]
-            if eps_cum is not None:
-                row.append(f"{eps_cum[j]:.12g}")
-            writer.writerow(row)
+        columns.append(_eps_cum(budget))
+    configio.write_csv(path, header, zip(*columns))
 
 
 def _validate(scheme: SchemeParams, sc, obj: Objective, force: bool) -> dict:
@@ -249,11 +246,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     of one chunk, with the results and errors of one ensemble per horizon.
     A horizon's trace is written before a later horizon's error is raised.
     """
-    gp: GraphPair = configio.graph_from_dict(configio.load_json(config.graph_file))
-    scheme = configio.scheme_from_dict(configio.load_json(config.scheme_file))
-    obj = configio.objective_from_dict(
-        configio.load_json(config.objective_file), Path(config.objective_file).parent
-    )
+    gp, scheme, obj = configio.load_inputs(config.graph_file, config.scheme_file, config.objective_file)
     sc = spectral_constants(gp)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         budget: BudgetReport | None = None
         if not config.baseline:
             budget = epsilon(sensitivity_trace(gp, scheme, C, K), scheme, K)
-        write_trace_csv(out / f"trace_K{K}.csv", ens, budget.increments if budget else None)
+        write_trace_csv(out / f"trace_K{K}.csv", ens, budget)
         final_by_K[K] = ens.mean_final_grad
         entry = {
             "runs": ens.n_runs,

@@ -25,9 +25,9 @@ every term is one float division, so a budget is exactly linear in 1/scale.
 The accountant's memory is O(n x block) at any K.  A trace keeps each
 distinct damping pair's recursion and yields its rows block by block;
 ``epsilon`` divides each block by the matching ``Rates.sigma_rows`` block and
-adds each agent's increments in NumPy's pairwise order, so ``eps`` is
-``increments.sum(axis=1)`` bit for bit (a test pins this against NumPy).  The
-(n, K+1) rows and increments are built only when a caller reads them.
+adds each agent's increments in NumPy's pairwise order, so ``eps`` is their
+table's ``.sum(axis=1)`` bit for bit (a test pins this against NumPy).  The
+increments leave only as blocks; the (n, K+1) rows are built only when read.
 
 Budgets here are always computed from these closed-form bounds.  The coupled
 two-run simulator and the small-instance likelihood-ratio test below exist
@@ -243,7 +243,7 @@ def _increment_blocks(trace: SensitivityTrace, rates: Rates):
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Per-agent budgets of one horizon, with the trace and the schedule they came from."""
+    """Per-agent budgets of one horizon, with the trace and the schedule that :meth:`increment_blocks` reads."""
 
     K: int
     eps: np.ndarray  # (n,)
@@ -264,14 +264,6 @@ class BudgetReport:
         return _increment_blocks(self.trace, self.rates)
 
     @cached_property
-    def increments(self) -> np.ndarray:
-        """Every agent's budget increment at every k: (n, K+1), built on first access."""
-        inc = np.empty((self.gp.n, self.K + 1))
-        for ks, block in self.increment_blocks():
-            inc[:, ks.start:ks.stop] = block
-        return inc
-
-    @cached_property
     def finiteness(self) -> ValidationReport:
         """The scheme's finite-budget conditions on the pair, checked on first access, once per report."""
         return check_budget_finiteness(self.scheme, self.gp)
@@ -289,10 +281,10 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
     not raised).  Budgets are exactly linear in 1/scale.
     The trace's rows and the increments are streamed in blocks whose memory
     does not grow with K, and each agent's increments are added in NumPy's
-    pairwise order, so ``eps`` is ``increments.sum(axis=1)`` bit for bit.
-    The increments table and the finiteness verdict, which does not depend
-    on K, are left to the report's first access, so a scan over horizons that
-    never reads them never computes them.
+    pairwise order, so ``eps`` is the increment table's ``.sum(axis=1)`` bit
+    for bit.  The finiteness verdict, which does not depend on K, is left to
+    the report's first access, so a scan over horizons that never reads it
+    never computes it.
     """
     if trace.K != K:
         raise ValueError(f"trace horizon {trace.K} does not match K={K}")
@@ -308,12 +300,21 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
 # Coupled adjacent-dataset runs
 # ---------------------------------------------------------------------------
 
+def _differing_agents(datasets: list[Dataset], datasets_alt: list[Dataset]) -> list[int]:
+    """The agents whose collections differ, each in exactly one sample (:func:`differing_index`), in order."""
+    agents = []
+    for i, (ds, ds_alt) in enumerate(zip(datasets, datasets_alt, strict=True)):
+        if not np.array_equal(ds.samples, ds_alt.samples):
+            differing_index(ds, ds_alt)
+            agents.append(i)
+    return agents
+
+
 @dataclass(frozen=True)
 class CoupledRunResult:
     K: int
     dx_measured: np.ndarray  # (n, K+1) realized l1 state differences
     dy_measured: np.ndarray
-    differing: dict  # agent -> differing sample index
 
 
 def coupled_pair_run(
@@ -333,15 +334,7 @@ def coupled_pair_run(
     either side names ``seed``, as ``engine.run``'s does.
     """
     n, d = gp.n, obj.dim
-    differing = {}
-    for i in range(n):
-        try:
-            differing[i] = differing_index(datasets[i], datasets_alt[i])
-        except AdjacencyError as exc:
-            if "identical" in str(exc):
-                continue  # identical collections are allowed; their differences are 0
-            raise
-
+    _differing_agents(datasets, datasets_alt)  # identical collections are allowed; their differences are 0
     check_agent_count(scheme, n)
     rates = rates_at(scheme, K)
     m = rates.m_int
@@ -374,7 +367,7 @@ def coupled_pair_run(
         err.seed = seed
         raise
 
-    return CoupledRunResult(K=K, dx_measured=dx_meas, dy_measured=dy_meas, differing=differing)
+    return CoupledRunResult(K=K, dx_measured=dx_meas, dy_measured=dy_meas)
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +431,10 @@ def micro_dp_check(
     if grad is None:
         raise ValueError(f"the {obj.kind} loss is not affine in the sample")
 
-    agent = None
-    for i in range(gp.n):
-        try:
-            differing_index(datasets[i], datasets_alt[i])
-            agent = i
-            break
-        except AdjacencyError:
-            continue
-    if agent is None:
+    agents = _differing_agents(datasets, datasets_alt)
+    if not agents:
         raise AdjacencyError("no differing sample in any agent's dataset")
+    agent = agents[0]
 
     C = adjacency_constant(obj, datasets[agent], datasets_alt[agent])
     budget = epsilon(sensitivity_trace(gp, scheme, C, K), scheme, K)

@@ -185,7 +185,7 @@ class Rates:
     @property
     def m_int(self) -> int:
         if not math.isfinite(self.m):
-            raise OverflowError("sampling count exceeds the integer range")
+            raise ValueError(f"sampling count m={self.m} exceeds the integer range")
         return int(self.m)
 
 

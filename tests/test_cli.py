@@ -8,6 +8,7 @@ import pytest
 
 from dpgt import cli, configio, engine, experiments, graphs, objectives, privacy, recursion, schemes
 from dpgt.cli import main
+from increment_table import increment_table
 
 # The classes the README lists under exit 2: every ValueError, and the eigensolver's failure.
 EXIT_2 = (
@@ -167,8 +168,9 @@ class TestCli:
         with open(workdir / "table.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k"] + [f"agent{i}" for i in range(gp.n)])
+            table = increment_table(report)
             for k in range(K + 1):
-                writer.writerow([k] + [f"{report.increments[i, k]:.12g}" for i in range(gp.n)])
+                writer.writerow([k] + [f"{table[i, k]:.12g}" for i in range(gp.n)])
         assert out.read_bytes() == (workdir / "table.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["privacy-budget", "run"])
@@ -208,6 +210,20 @@ class TestCli:
             "--scheme", str(workdir / "scheme.json"), "--K", "30", "--C", "2.0",
         )
         assert doc2["eps_max"] == pytest.approx(2 * doc1["eps_max"], rel=1e-12)
+
+    def test_privacy_budget_auto_constant_without_objective_exits_2(self, workdir, capsys):
+        argv = ["privacy-budget", "--graph", str(workdir / "graph.json"), "--scheme", str(workdir / "scheme.json"),
+                "--K", "30"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dpgt privacy-budget: --C auto requires --objective\n"
+        # The inputs load first, in order, so a bad scheme file is still the error reported.
+        scheme = configio.load_json(workdir / "scheme.json")
+        del scheme["beta"]
+        configio.dump_json(scheme, workdir / "scheme.json")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "dpgt privacy-budget: S2 scheme: missing key(s) 'beta'\n"
 
     @pytest.mark.parametrize("agents", [2, 4])
     def test_run_refuses_a_scheme_for_another_agent_count(self, workdir, capsys, agents):

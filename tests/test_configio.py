@@ -208,6 +208,29 @@ class TestWrittenDocumentsLoad:
         assert [ds.size for ds in obj.datasets] == [12, 12]
 
 
+class TestLoadInputs:
+    def test_the_objective_is_optional_and_the_graph_error_comes_first(self, tmp_path):
+        graph = configio.graph_to_dict(build_graph_pair(np.array([[0.0, 0.5], [0.7, 0.0]]), np.eye(2)[::-1]))
+        for name, doc in (("graph", graph), ("scheme", S2_DOC), ("objective", QUADRATIC_DOC)):
+            configio.dump_json(doc, tmp_path / f"{name}.json")
+        files = [tmp_path / f"{name}.json" for name in ("graph", "scheme", "objective")]
+        gp, scheme, obj = configio.load_inputs(*files)
+        assert gp.n == 2 and isinstance(scheme, S2Params) and obj.n_agents == 2
+        assert configio.load_inputs(*files[:2])[2] is None
+        configio.dump_json({**graph, "n": 3}, files[0])
+        configio.dump_json({}, files[1])
+        with pytest.raises(ValueError, match="graph: declared n=3"):
+            configio.load_inputs(*files)
+
+
+class TestWriteCsv:
+    def test_float_cells_as_12g_and_other_cells_as_they_are(self, tmp_path):
+        path = tmp_path / "sub" / "out.csv"
+        rows = iter([[1, "mean", 0.1 + 0.2], [np.int64(2), "a,b", np.float64(1e300)]])
+        configio.write_csv(path, ["k", "name", "x"], rows)
+        assert path.read_bytes() == b'k,name,x\r\n1,mean,0.3\r\n2,"a,b",1e+300\r\n'
+
+
 def through_json(doc: dict) -> dict:
     return json.loads(json.dumps(doc))
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import tracemalloc
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgt import privacy
-from dpgt.engine import DivergenceError
+from dpgt.engine import DivergenceError, EnsembleResult
+from dpgt.experiments import write_trace_csv
 from dpgt.graphs import build_graph_pair, spectral_constants
 from dpgt.objectives import (
     generate_logistic_datasets,
@@ -30,6 +32,7 @@ from dpgt.privacy import (
     sensitivity_trace,
 )
 from dpgt.schemes import S1Params, S2Params, check_budget_finiteness, rates_at, validate_s1
+from increment_table import increment_table
 
 
 def replace_sample(ds, index, value):
@@ -446,7 +449,7 @@ class TestAccountantAgainstPerRowReference:
         dx, dy, inc = per_row_reference(gp, rates, C, K)
         assert trace.dx.tobytes() == dx.tobytes()
         assert trace.dy.tobytes() == dy.tobytes()
-        assert budget.increments.tobytes() == inc.tobytes()
+        assert increment_table(budget).tobytes() == inc.tobytes()
         assert budget.eps.tobytes() == inc.sum(axis=1).tobytes()
 
 
@@ -495,7 +498,7 @@ class TestStreamedAccountant:
             with np.errstate(over="ignore"):
                 eps = inc.sum(axis=1)
             assert trace.dx.tobytes() == dx.tobytes() and trace.dy.tobytes() == dy.tobytes(), length
-            assert budget.increments.tobytes() == inc.tobytes(), length
+            assert increment_table(budget).tobytes() == inc.tobytes(), length
             assert budget.eps.tobytes() == eps.tobytes(), length
         if case == "overflow":
             assert budget.eps[0] == math.inf and np.isinf(inc[0]).any()
@@ -518,6 +521,47 @@ class TestStreamedAccountant:
         finally:
             tracemalloc.stop()
         assert peak <= cap, peak
+
+
+def trace_rows(ens, eps_cum):
+    """The mean-trace rows of ``ens`` written one k at a time, with an ``eps_cum`` column unless it is None."""
+    for j in range(ens.K + 1):
+        row = [
+            j + 1, "mean", f"{ens.mean_consensus_x[j]:.12g}", f"{ens.mean_consensus_y[j]:.12g}",
+            f"{ens.mean_grad_norm_sq[j].mean():.12g}", f"{ens.mean_gap[j]:.12g}", int(ens.samples_cum[j]),
+        ]
+        yield row if eps_cum is None else row + [f"{eps_cum[j]:.12g}"]
+
+
+class TestStreamedTraceCsv:
+    @pytest.mark.parametrize("case", ["distinct", "overflow"])
+    def test_eps_cum_streamed_over_blocks_keeps_the_bytes(self, tmp_path, case):
+        # Over three blocks and a part, the trace whose eps_cum is streamed from the budget's
+        # increment blocks is the file written row by row from the whole table's cumulative
+        # maximum, with the table taken from the per-row reference.
+        n = 5
+        K = 3 * privacy._block_width(n) + 17
+        gp, scheme, _ = streamed_case(n, case, K)
+        budget = epsilon(sensitivity_trace(gp, scheme, 1.5, K), scheme, K)
+        _, _, inc = per_row_reference(gp, rates_at(scheme, K), 1.5, K)
+        rng = np.random.default_rng(11)
+        ens = EnsembleResult(
+            K=K, n_runs=4, seeds=(0, 1, 2, 3), mean_grad_norm_sq=rng.exponential(1.0, (K + 1, n)),
+            var_grad_norm_sq=rng.exponential(1.0, (K + 1, n)), mean_v=rng.normal(0.0, 1.0, (K + 2, 3)),
+            se_v=rng.exponential(1.0, (K + 2, 3)), samples_cum=7 * np.arange(2, K + 3, dtype=np.int64),
+        )
+        header = ["k", "agent", "consensus_x", "consensus_y", "grad_norm_sq", "gap", "samples_cum"]
+        with np.errstate(invalid="ignore"):
+            eps_cum = np.cumsum(inc.max(axis=0))
+        for name, report, extra, column in (("noisy", budget, ["eps_cum"], eps_cum), ("baseline", None, [], None)):
+            write_trace_csv(tmp_path / f"{name}.csv", ens, report)
+            with open(tmp_path / f"{name}_table.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header + extra)
+                writer.writerows(trace_rows(ens, column))
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_table.csv").read_bytes(), name
+        if case == "overflow":
+            assert eps_cum[-1] == math.inf
 
 
 class TestCoupledRuns:
@@ -547,6 +591,19 @@ class TestCoupledRuns:
         res = coupled_pair_run(gp, p, obj, list(ds), list(ds), K=30, seed=1)
         assert res.dx_measured.max() == 0.0
         assert res.dy_measured.max() == 0.0
+
+    @pytest.mark.parametrize("also_agent_1", [True, False])
+    def test_agent_differing_in_two_samples_is_refused(self, also_agent_1):
+        gp, p, obj, ds, alt = self.setup_pair(change=also_agent_1)
+        alt[0] = replace_sample(replace_sample(ds[0], 0, [9.0]), 1, [8.0])
+        with pytest.raises(AdjacencyError, match="datasets differ in 2 samples, need exactly one"):
+            coupled_pair_run(gp, p, obj, list(ds), alt, K=5, seed=1)
+
+    def test_sampling_count_beyond_the_integer_range_is_a_value_error(self):
+        # As engine.run refuses the scheme: a typed input error naming m, not an OverflowError.
+        gp, p, obj, ds, alt = TestMicroDP().make_instance()
+        with pytest.raises(ValueError, match=r"^sampling count m=inf exceeds the integer range$"):
+            coupled_pair_run(gp, dataclasses.replace(p, p_m=1e300), obj, list(ds), alt, K=5, seed=1)
 
     def test_measured_differences_below_bounds(self):
         gp, p, obj, ds, alt = self.setup_pair()
@@ -639,6 +696,23 @@ class TestMicroDP:
         gp, p, obj, ds, _ = self.make_instance()
         with pytest.raises(AdjacencyError):
             micro_dp_check(p, gp, obj, list(ds), list(ds), K=1, trials=10**4)
+
+    @pytest.mark.parametrize("also_agent_1", [True, False])
+    def test_agent_differing_in_two_samples_is_refused(self, also_agent_1):
+        # Agent 0 differs in two samples: neither skipped (with agent 1 differing in one) nor
+        # read as no difference at all (alone).
+        gp, p, obj, ds, alt = self.make_instance()
+        alt[0] = replace_sample(replace_sample(ds[0], 0, [0.05]), 1, [0.06])
+        if also_agent_1:
+            alt[1] = replace_sample(ds[1], 3, [0.01])
+        with pytest.raises(AdjacencyError, match="datasets differ in 2 samples, need exactly one"):
+            micro_dp_check(p, gp, obj, list(ds), alt, K=1, trials=10**4)
+
+    def test_sampling_count_beyond_the_integer_range_is_a_value_error(self):
+        # At K = 1, p_m = 1e300 still gives a finite m (one that takes every sample); 1e308 does not.
+        gp, p, obj, ds, alt = self.make_instance()
+        with pytest.raises(ValueError, match=r"^sampling count m=inf exceeds the integer range$"):
+            micro_dp_check(dataclasses.replace(p, p_m=1e308), gp, obj, list(ds), alt, K=1, trials=10**4)
 
     def test_ratio_within_allowance_small_budget(self):
         gp, p, obj, ds, alt = self.make_instance()
