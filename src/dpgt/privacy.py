@@ -42,11 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat, tee
+from itertools import chain, islice
 
 import numpy as np
 
-from .engine import DivergenceError, draw_indices, draw_x0, noise, sampled_gradients, update
+from .engine import ConfigError, DivergenceError, draw_indices, draw_x0, noise, sampled_gradients, update
 from .graphs import GraphPair
 from .objectives import Dataset, Objective
 from .schemes import Rates, SchemeParams, ValidationReport, check_agent_count, check_budget_finiteness, rates_at
@@ -147,6 +147,16 @@ def _block_width(n: int) -> int:
     return max(_PAIRWISE_LEAF, _BUDGET_BLOCK // n)
 
 
+def _recursion(q_y: float, q_x: float, gamma: float, u: float, y: float):
+    """dx[k], then dy[k], for k = 0, 1, ...: from dx[0] = 0 and dy[0] = y, x <- q_x*x + gamma*y, then y <- q_y*y + u."""
+    x = 0.0
+    while True:
+        yield x
+        yield y
+        x = q_x * x + gamma * y
+        y = q_y * y + u
+
+
 @dataclass(frozen=True)
 class SensitivityTrace:
     """Per-agent l1 shift bounds dx[k], dy[k] for k = 0..K at one horizon.
@@ -167,26 +177,21 @@ class SensitivityTrace:
     def blocks(self):
         """(ks, dx, dy) per block of k = 0..K, in order, with dx and dy (n, len(ks)).
 
-        Each damping pair's recursion is one ``itertools.accumulate`` run over
-        every block, so a block carries on from the one before, with the same
-        float operations in the same order as a per-k update of both rows.
-        Agents with equal pairs get copies of one run.
+        Each damping pair's recursion is one generator, :func:`_recursion`,
+        run over every block, so a block carries on from the one before,
+        with the same float operations in the same order as a per-k update
+        of both rows.  Agents with equal pairs get copies of one run.
         """
         inv_m = 0.0 if not math.isfinite(self.m) else 1.0 / self.m
-        C, gamma = self.C, self.gamma
-        ys, xs = [], []
-        for q_y, q_x in self.damping:
-            dy, lagged = tee(accumulate(repeat(2.0 * C * inv_m), lambda y, u, q=q_y: q * y + u, initial=C * inv_m))
-            ys.append(dy)
-            xs.append(accumulate(lagged, lambda x, v, q=q_x: q * x + gamma * v, initial=0.0))
-        runs, copies = len(self.damping), list(self.agent_runs)
+        u, y0 = 2.0 * self.C * inv_m, self.C * inv_m
+        runs = [_recursion(q_y, q_x, self.gamma, u, y0) for q_y, q_x in self.damping]
+        copies = list(self.agent_runs)
         for ks in _spans(0, self.K + 1, _block_width(self.gp.n)):
             w = len(ks)
-            dy, dx = (
-                np.fromiter(chain.from_iterable(islice(it, w) for it in rows), float, runs * w).reshape(runs, w)
-                for rows in (ys, xs)
-            )
-            if runs < len(copies):
+            rows = np.fromiter(chain.from_iterable(islice(run, 2 * w) for run in runs), float, 2 * w * len(runs))
+            rows = rows.reshape(len(runs), w, 2)
+            dx, dy = rows[..., 0], rows[..., 1]
+            if len(runs) < len(copies):
                 dx, dy = dx[copies], dy[copies]
             yield ks, dx, dy
 
@@ -300,10 +305,15 @@ def epsilon(trace: SensitivityTrace, scheme: SchemeParams, K: int) -> BudgetRepo
 # Coupled adjacent-dataset runs
 # ---------------------------------------------------------------------------
 
-def _differing_agents(datasets: list[Dataset], datasets_alt: list[Dataset]) -> list[int]:
-    """The agents whose collections differ, each in exactly one sample (:func:`differing_index`), in order."""
+def _differing_agents(gp: GraphPair, datasets: list[Dataset], datasets_alt: list[Dataset]) -> list[int]:
+    """The agents whose collections differ, each in exactly one sample (:func:`differing_index`), in order.
+
+    Both collections must hold one dataset per agent of ``gp``.
+    """
+    if not len(datasets) == len(datasets_alt) == gp.n:
+        raise ConfigError(f"the collections have {len(datasets)} and {len(datasets_alt)} agents, the graph pair {gp.n}")
     agents = []
-    for i, (ds, ds_alt) in enumerate(zip(datasets, datasets_alt, strict=True)):
+    for i, (ds, ds_alt) in enumerate(zip(datasets, datasets_alt)):
         if not np.array_equal(ds.samples, ds_alt.samples):
             differing_index(ds, ds_alt)
             agents.append(i)
@@ -330,43 +340,43 @@ def coupled_pair_run(
 
     Both start at the seed's keyed x0 and consume the first run's perturbed
     values and the same sample index draws, realizing the conditioning under
-    which the sensitivity recursion is stated.  A ``DivergenceError`` from
-    either side names ``seed``, as ``engine.run``'s does.
+    which the sensitivity recursion is stated.  The two runs are the lanes of
+    one ``engine.update``, so one guard covers both: a ``DivergenceError``
+    names ``seed``, as ``engine.run``'s does, the state before the tracking
+    variable, and the largest entry over both runs.
     """
     n, d = gp.n, obj.dim
-    _differing_agents(datasets, datasets_alt)  # identical collections are allowed; their differences are 0
+    sides = (datasets, datasets_alt)
+    _differing_agents(gp, *sides)  # identical collections are allowed; their differences are 0
     check_agent_count(scheme, n)
     rates = rates_at(scheme, K)
     m = rates.m_int
-    # One lane: states are (1, n, d), index draws (1, m) per agent.
+    # Two lanes: states are (2, n, d), side a's in lane 0 and side b's in lane
+    # 1.  Each lane's gradients take the one-lane per-agent path on its rows.
     seeds = [seed]
-    x0 = draw_x0(seeds, n, d)
 
-    idxs = draw_indices(seeds, datasets, 0, m)
-    x_a, y_a = x0, sampled_gradients(obj, datasets, x0, idxs)
-    x_b, y_b = x0, sampled_gradients(obj, datasets_alt, x0, idxs)
-    g_a, g_b = y_a, y_b
+    def grad_at(x: np.ndarray, k: int) -> np.ndarray:
+        idxs = [idx[0] for idx in draw_indices(seeds, datasets, k, m)]
+        return np.array([sampled_gradients(obj, ds, x_side, idxs) for ds, x_side in zip(sides, x)])
 
-    dx_meas = np.zeros((n, K + 1))
-    dy_meas = np.zeros((n, K + 1))
-    dy_meas[:, 0] = np.abs(y_a - y_b)[0].sum(axis=1)
+    x = np.repeat(draw_x0(seeds, n, d), 2, axis=0)
+    y = g = grad_at(x, 0)
+
+    xs, ys = [x], [y]
     try:
         for k in range(K):
             zeta, eta = noise(seeds, (rates,), k, n, d)
-            xb, yb = x_a + zeta, y_a + eta  # side a's broadcast, received by both sides
-            idxs = draw_indices(seeds, datasets, k + 1, m)
-            x_a, y_a, g_a = update(
-                x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), (rates,), gp, k
-            )
-            x_b, y_b, g_b = update(
-                x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), (rates,), gp, k
-            )
-            dx_meas[:, k + 1] = np.abs(x_a - x_b)[0].sum(axis=1)
-            dy_meas[:, k + 1] = np.abs(y_a - y_b)[0].sum(axis=1)
+            xb, yb = x[:1] + zeta, y[:1] + eta  # side a's broadcast, received by both sides
+            x, y, g = update(x, y, g, xb, yb, lambda x_next: grad_at(x_next, k + 1), (rates,), gp, k)
+            xs.append(x)
+            ys.append(y)
     except DivergenceError as err:
         err.seed = seed
         raise
 
+    # The differences, once after the loop: stacked (2, n, K+1, d), each
+    # (agent, k) entry sums its row of d as a per-k sum over that row would.
+    dx_meas, dy_meas = (np.abs(np.subtract(*np.stack(hist, axis=2))).sum(axis=-1) for hist in (xs, ys))
     return CoupledRunResult(K=K, dx_measured=dx_meas, dy_measured=dy_meas)
 
 
@@ -431,7 +441,7 @@ def micro_dp_check(
     if grad is None:
         raise ValueError(f"the {obj.kind} loss is not affine in the sample")
 
-    agents = _differing_agents(datasets, datasets_alt)
+    agents = _differing_agents(gp, datasets, datasets_alt)
     if not agents:
         raise AdjacencyError("no differing sample in any agent's dataset")
     agent = agents[0]

@@ -1,9 +1,10 @@
 """The audit layer against the loops it replaced, bit for bit.
 
-The oracles below are the earlier pure-Python forms: a depth-first search
-from every node for rootedness, the per-k rolling update of the sensitivity
-recursions, and the per-entry loop of the budget composition.  The fast
-forms must agree with them exactly, not within a tolerance, because the
+The oracles below are the earlier forms: a depth-first search from every
+node for rootedness, the per-k rolling update of the sensitivity recursions,
+the per-entry loop of the budget composition, and the coupled run as two
+sequential updates, one per side.  The fast forms must agree with them
+exactly, not within a tolerance, because the
 benchmark's output gate and the printed acceptance figures are kept equal
 bit for bit across changes.  Acceptance criterion 6's printed zero slack is
 no such reason: it is the trivial dx[0] entry, where bound and measured
@@ -18,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpgt.engine import DivergenceError, draw_indices, draw_x0, noise, sampled_gradients, update
 from dpgt.graphs import ConnectivityReport, _spanning_roots, build_graph_pair, check_connectivity
-from dpgt.privacy import _BUDGET_BLOCK, epsilon, sensitivity_trace
+from dpgt.objectives import generate_quadratic_datasets, make_dataset, make_quadratic
+from dpgt.privacy import _BUDGET_BLOCK, coupled_pair_run, epsilon, sensitivity_trace
 from dpgt.schemes import S1Params, S2Params, rates_at
 from increment_table import increment_table
 
@@ -96,6 +99,39 @@ def loop_budget(dx, dy, scheme, K):
                     total += sens / scale if scale > 0.0 else math.inf
                 inc[i, k] = total
         return inc, inc.sum(axis=1)
+
+
+def sequential_coupled_run(gp, scheme, obj, datasets, datasets_alt, K, seed):
+    """(dx, dy) of the coupled run with one update per side, side a's first, each on its own (1, n, d) lane."""
+    n, d = gp.n, obj.dim
+    rates = rates_at(scheme, K)
+    m = rates.m_int
+    seeds = [seed]
+    x0 = draw_x0(seeds, n, d)
+    idxs = draw_indices(seeds, datasets, 0, m)
+    x_a, y_a = x0, sampled_gradients(obj, datasets, x0, idxs)
+    x_b, y_b = x0, sampled_gradients(obj, datasets_alt, x0, idxs)
+    g_a, g_b = y_a, y_b
+    dx = np.zeros((n, K + 1))
+    dy = np.zeros((n, K + 1))
+    dy[:, 0] = np.abs(y_a - y_b)[0].sum(axis=1)
+    try:
+        for k in range(K):
+            zeta, eta = noise(seeds, (rates,), k, n, d)
+            xb, yb = x_a + zeta, y_a + eta
+            idxs = draw_indices(seeds, datasets, k + 1, m)
+            x_a, y_a, g_a = update(
+                x_a, y_a, g_a, xb, yb, lambda x: sampled_gradients(obj, datasets, x, idxs), (rates,), gp, k
+            )
+            x_b, y_b, g_b = update(
+                x_b, y_b, g_b, xb, yb, lambda x: sampled_gradients(obj, datasets_alt, x, idxs), (rates,), gp, k
+            )
+            dx[:, k + 1] = np.abs(x_a - x_b)[0].sum(axis=1)
+            dy[:, k + 1] = np.abs(y_a - y_b)[0].sum(axis=1)
+    except DivergenceError as err:
+        err.seed = seed
+        raise
+    return dx, dy
 
 
 def same_bits(a, b) -> bool:
@@ -270,3 +306,84 @@ class TestAccountantOracle:
         budget = epsilon(tr, scheme, K)
         assert same_bits(increment_table(budget), inc)
         assert same_bits(budget.eps, eps)
+
+
+# ---------------------------------------------------------------------------
+# Coupled runs
+# ---------------------------------------------------------------------------
+
+
+def coupled_instance(kind, n, d, seed, D=12):
+    """A dense n-agent pair, a quadratic of dimension d on D scalar samples per agent, and a scheme with m >= 2."""
+    rng = np.random.default_rng([seed, n, d])
+    R = rng.uniform(0.05, 0.3, (n, n))
+    C = rng.uniform(0.05, 0.3, (n, n))
+    gp = build_graph_pair(R, C)
+    obj = make_quadratic(np.eye(d) * rng.uniform(0.5, 1.2), rng.normal(0.0, 1.0, d), n,
+                         generate_quadratic_datasets(n, D, seed=seed))
+    if kind == "S1":  # p_m = 0 keeps m = floor(a4) + 1 = 3 at every horizon
+        scheme = S1Params(
+            a1=0.3, a2=0.3, a3=0.05, a4=2.5, p_alpha=0.9, p_beta=0.7, p_gamma=0.95, p_m=0.0,
+            p_zeta=(0.1,) * n, p_eta=(0.1,) * n,
+        )
+    else:  # m = floor(1.02**K) + 1 >= 2
+        scheme = S2Params(alpha=0.15, beta=0.15, gamma=0.02, p_m=1.02, p_zeta=(0.9,) * n, p_eta=(0.9,) * n)
+    return gp, scheme, obj
+
+
+def swapped(datasets, agent, index, value):
+    """The collection with one sample of one agent replaced."""
+    samples = datasets[agent].samples.copy()
+    samples[index] = value
+    out = list(datasets)
+    out[agent] = make_dataset(agent, samples)
+    return out
+
+
+class TestCoupledRunOracle:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["S1", "S2"])
+    def test_two_lanes_equal_two_sequential_updates(self, kind, n, d):
+        gp, scheme, obj = coupled_instance(kind, n, d, seed=5)
+        ds = list(obj.datasets)
+        for agent in [None, *range(n)]:  # identical collections, then the differing agent at every position
+            alt = ds if agent is None else swapped(ds, agent, 3, ds[agent].samples[3] + 1.5)
+            for K in (0, 1, 60):
+                assert rates_at(scheme, K).m_int >= 2
+                res = coupled_pair_run(gp, scheme, obj, ds, list(alt), K=K, seed=11 + K)
+                dx, dy = sequential_coupled_run(gp, scheme, obj, ds, alt, K, 11 + K)
+                assert same_bits(res.dx_measured, dx), (agent, K)
+                assert same_bits(res.dy_measured, dy), (agent, K)
+                if agent is None:
+                    assert not dx.any() and not dy.any()
+
+    @pytest.mark.parametrize("outlier, variable", [(3e14, "tracking"), (1e16, "state")])
+    @pytest.mark.parametrize("agent", [0, 1, 2])
+    def test_divergence_of_side_b_alone_is_the_oracles(self, outlier, variable, agent):
+        # With m = D = 2 every sample is drawn.  Side b's outlier sets y_0, which is not guarded:
+        # 3e14 crosses the limit in the tracking variable at k = 1, 1e16 already in the state.
+        gp, scheme, obj = coupled_instance("S2", 3, 2, seed=8, D=2)
+        ds = list(obj.datasets)
+        alt = swapped(ds, agent, 1, [outlier])
+        with pytest.raises(DivergenceError) as got:
+            coupled_pair_run(gp, scheme, obj, ds, alt, K=5, seed=4)
+        with pytest.raises(DivergenceError) as want:
+            sequential_coupled_run(gp, scheme, obj, ds, alt, 5, 4)
+        assert want.value.variable == variable and want.value.agent == agent and want.value.k == 1
+        assert got.value.__reduce__() == want.value.__reduce__()
+        assert str(got.value) == str(want.value)
+
+    def test_one_guard_over_both_sides_names_the_state_first(self):
+        # Side a crosses in the tracking variable at k = 1 (agent 0), side b already in the state
+        # (agent 1).  The sequential loop stops at side a; the two lanes' guard reads the state first.
+        gp, scheme, obj = coupled_instance("S2", 3, 2, seed=8, D=2)
+        ds = swapped(list(obj.datasets), 0, 1, [3e14])
+        alt = swapped(swapped(ds, 0, 1, obj.datasets[0].samples[1]), 1, 1, [1e16])
+        with pytest.raises(DivergenceError) as want:
+            sequential_coupled_run(gp, scheme, obj, ds, alt, 5, 4)
+        assert (want.value.variable, want.value.agent, want.value.k) == ("tracking", 0, 1)
+        with pytest.raises(DivergenceError) as got:
+            coupled_pair_run(gp, scheme, obj, ds, alt, K=5, seed=4)
+        assert (got.value.variable, got.value.agent, got.value.k, got.value.seed) == ("state", 1, 1, 4)
+        assert got.value.magnitude > 1e12

@@ -155,6 +155,55 @@ class TestSpectrum:
             spectrum(np.eye(DEFAULT_MAX_N + 1))
 
 
+class TestResidualCertificate:
+    """The 2-norm scales the tolerance only where the residual exceeds EIG_RESIDUAL_TOL itself."""
+
+    M = np.diag([3.0, 2.0, 1.0])  # ||M||_2 = 3
+
+    def solve_with_residual(self, monkeypatch, r):
+        """Make the eigensolver return M's eigenpairs with e0's vector tilted by r along e1.
+
+        M (e0 + r e1) - 3 (e0 + r e1) = -r e1, so the worst residual is exactly r
+        for a power of two r.  Returns the list that collects each 2-norm call.
+        """
+        def eig(M):
+            vecs = np.eye(3)
+            vecs[1, 0] = r
+            return np.array([3.0, 2.0, 1.0], dtype=complex), vecs
+
+        norm, two_norms = np.linalg.norm, []
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                two_norms.append(x)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(graphs.scipy.linalg, "eig", eig)
+        monkeypatch.setattr(graphs.np.linalg, "norm", counting_norm)
+        return two_norms
+
+    def test_residual_within_the_bare_tolerance_needs_no_two_norm(self, monkeypatch):
+        r = 2.0**-28  # 3.7e-9
+        two_norms = self.solve_with_residual(monkeypatch, r)
+        assert spectrum(self.M).tolist() == [1.0, 2.0, 3.0]
+        assert two_norms == []
+
+    def test_residual_within_the_scaled_tolerance_takes_one_two_norm(self, monkeypatch):
+        r = 2.0**-26  # 1.5e-8, between 1e-8 and 3e-8
+        two_norms = self.solve_with_residual(monkeypatch, r)
+        assert spectrum(self.M).tolist() == [1.0, 2.0, 3.0]
+        assert len(two_norms) == 1
+
+    def test_residual_beyond_the_scaled_tolerance_raises(self, monkeypatch):
+        r = 2.0**-23  # 1.2e-7
+        two_norms = self.solve_with_residual(monkeypatch, r)
+        with pytest.raises(EigensolverError) as caught:
+            spectrum(self.M)
+        assert str(caught.value) == f"eigenpair residual {r:.3e} exceeds {3e-8:.3e}"
+        assert str(caught.value) == "eigenpair residual 1.192e-07 exceeds 3.000e-08"
+        assert len(two_norms) == 1
+
+
 class TestSumCap:
     def test_subnormal_sum_gives_an_infinite_cap_without_a_warning(self):
         # 1 / 5e-324 overflows to inf, the correctly rounded cap; the other sum sets the minimum.

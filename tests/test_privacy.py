@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgt import privacy
-from dpgt.engine import DivergenceError, EnsembleResult
+from dpgt.engine import ConfigError, DivergenceError, EnsembleResult
 from dpgt.experiments import write_trace_csv
 from dpgt.graphs import build_graph_pair, spectral_constants
 from dpgt.objectives import (
@@ -586,6 +586,15 @@ class TestCoupledRuns:
         with pytest.raises(ValueError, match=f"the scheme has {agents} agents, the graph pair 3"):
             coupled_pair_run(gp, other, obj, list(ds), alt, K=5, seed=1)
 
+    @pytest.mark.parametrize("extra, counts", [("both", "4 and 4"), ("alt", "3 and 4")])
+    def test_collections_of_another_agent_count_are_refused(self, extra, counts):
+        # A ConfigError naming the counts, as engine.run refuses the objective, not an IndexError.
+        gp, p, obj, ds, alt = self.setup_pair()
+        more = generate_quadratic_datasets(4, 25, seed=9)[3:]
+        ds, alt = (list(ds) + more if extra == "both" else list(ds)), list(alt) + more
+        with pytest.raises(ConfigError, match=f"^the collections have {counts} agents, the graph pair 3$"):
+            coupled_pair_run(gp, p, obj, ds, alt, K=5, seed=1)
+
     def test_identical_collections_zero_difference(self):
         gp, p, obj, ds, _ = self.setup_pair(change=False)
         res = coupled_pair_run(gp, p, obj, list(ds), list(ds), K=30, seed=1)
@@ -691,6 +700,12 @@ class TestMicroDP:
             micro_dp_check(p, gp, obj, list(ds), alt, K=3, trials=10**4)
         with pytest.raises(ValueError):
             micro_dp_check(p, gp, obj, list(ds), alt, K=1, trials=100)
+
+    def test_three_collections_on_a_two_agent_pair_are_refused(self):
+        gp, p, obj, ds, alt = self.make_instance()
+        third = make_dataset(2, ds[1].samples)
+        with pytest.raises(ConfigError, match="^the collections have 3 and 3 agents, the graph pair 2$"):
+            micro_dp_check(p, gp, obj, [*ds, third], [*alt, third], K=1, trials=10**4)
 
     def test_identical_collections_raise(self):
         gp, p, obj, ds, _ = self.make_instance()
